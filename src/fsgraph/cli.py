@@ -225,6 +225,8 @@ def _cmd_oracle_sweep(args, config: RunConfig):
     for f in families:
         if f not in ("path", "cycle", "star"):
             raise InvalidArgumentError(f"unknown sweep family {f!r}")
+    if args.max_n > 0:
+        enumerate_nonisomorphic(args.max_n)   # refuses past n = 8 before any check
     checked = 0
     mismatches: list[dict] = []
 
@@ -282,7 +284,6 @@ def _cmd_oracle_sweep(args, config: RunConfig):
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state-cap", type=int, default=None, help="max explored FS states")
     p.add_argument("--listing-cap", type=int, default=None, help="max permutations listed")
-    p.add_argument("--workers", type=int, default=None, help="worker count (accepted; search is serial)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -376,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_decide)
 
     p = sub.add_parser("oracle-sweep", help="cross-validate fast paths against brute force")
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=int, default=5, help="largest n swept; at most 8, else exit 3")
     p.add_argument("--families", default="path,cycle,star")
     p.add_argument("--random", type=int, default=0, help="extra random labeled graphs")
     p.add_argument("--random-n", type=int, default=6)
@@ -391,13 +392,11 @@ def _config_from_args(args) -> RunConfig:
     base = RunConfig()
     state_cap = getattr(args, "state_cap", None)
     listing_cap = getattr(args, "listing_cap", None)
-    workers = getattr(args, "workers", None)
-    if state_cap is None and listing_cap is None and workers is None:
+    if state_cap is None and listing_cap is None:
         return base
     return RunConfig(
         state_cap=state_cap if state_cap is not None else base.state_cap,
         listing_cap=listing_cap if listing_cap is not None else base.listing_cap,
-        workers=workers if workers is not None else base.workers,
         seed=base.seed,
     )
 

@@ -42,11 +42,10 @@ class RunConfig:
 
     state_cap: int = field(default_factory=_default_state_cap)
     listing_cap: int = DEFAULT_LISTING_CAP
-    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.state_cap <= 0 or self.listing_cap <= 0 or self.workers <= 0:
+        if self.state_cap <= 0 or self.listing_cap <= 0:
             raise InvalidArgumentError("RunConfig caps must be positive")
 
 

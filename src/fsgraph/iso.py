@@ -1,22 +1,31 @@
-"""Canonical labeling, isomorphism tests, and small-graph enumeration.
+"""Canonical labeling, isomorphism tests, family recognizers, and
+small-graph enumeration.
 
-Canonical forms come from iterated color refinement followed by a
-brute-force minimum over the relabelings that respect the refinement
-classes.  That is exact (two graphs get the same form iff they are
-isomorphic) and fast for the irregular graphs that dominate at desk
-scale; vertex-transitive stragglers fall back to trying every class
-permutation, which is still fine for n <= 8.
+One color refinement splits the vertices into classes.  ``refined_form``
+relabels class by class (by old label inside a class): one refinement,
+sound (equal forms mean isomorphic graphs) but not complete, which is
+enough for the hereditary memo keys in :mod:`fsgraph.theorems`.
+``canonical_form`` takes the minimum over every class-respecting
+relabeling: exact, but a product of class-size factorials (n! on
+vertex-transitive graphs), so it refuses past ``CANONICAL_ORDER_CAP``;
+enumeration up to n = 8, ``is_isomorphic`` and the theta recognizer use
+it.  The other recognizers read structure directly in O(n + m).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import Graph, build_named
 
 CanonicalForm = tuple[int, tuple[tuple[int, int], ...]]
+
+# Most class-respecting relabelings canonical_form will try: 8! keeps every
+# graph on up to 8 vertices, the edgeless and complete graphs included.
+CANONICAL_ORDER_CAP = math.factorial(8)
 
 
 def _refine_colors(n: int, adj: tuple[int, ...], initial: list) -> list[int]:
@@ -73,36 +82,40 @@ def _initial_colors(g: Graph) -> list:
     return [(adj[v].bit_count(), tri[v], comp_size[v]) for v in range(n)]
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
-    """A labeling-independent fingerprint: (n, canonical edge tuple)."""
-    n = g.n
-    colors = _refine_colors(n, g._adj, _initial_colors(g))
+def _refined_classes(g: Graph) -> list[list[int]]:
+    """The vertices grouped by refined color: classes in color order, each
+    class in increasing label order."""
+    colors = _refine_colors(g.n, g._adj, _initial_colors(g))
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
-    classes = [by_color[c] for c in sorted(by_color)]
-
-    best: tuple[tuple[int, int], ...] | None = None
-    for parts in itertools.product(*(itertools.permutations(cls) for cls in classes)):
-        order = [v for part in parts for v in part]
-        position = [0] * n
-        for new, old in enumerate(order):
-            position[old] = new
-        relabeled = tuple(
-            sorted(
-                (position[a], position[b]) if position[a] < position[b] else (position[b], position[a])
-                for a, b in g._edges
-            )
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    assert best is not None
-    return (n, tuple((a + 1, b + 1) for a, b in best))
+    return [by_color[c] for c in sorted(by_color)]
 
 
-def canonical_graph(g: Graph) -> Graph:
-    n, edges = canonical_form(g)
-    return Graph(n, edges)
+def _relabeled(g: Graph, order) -> CanonicalForm:
+    """g with vertex order[i] renamed i + 1, as (n, sorted edge tuple)."""
+    position = [0] * g.n
+    for new, old in enumerate(order, start=1):
+        position[old] = new
+    edges = ((position[a], position[b]) for a, b in g._edges)
+    return (g.n, tuple(sorted((a, b) if a < b else (b, a) for a, b in edges)))
+
+
+def refined_form(g: Graph) -> CanonicalForm:
+    """g relabeled class by class in refined-color order."""
+    return _relabeled(g, [v for cls in _refined_classes(g) for v in cls])
+
+
+def canonical_form(g: Graph) -> CanonicalForm:
+    """A labeling-independent fingerprint: (n, canonical edge tuple)."""
+    classes = _refined_classes(g)
+    orders = math.prod(math.factorial(len(cls)) for cls in classes)
+    if orders > CANONICAL_ORDER_CAP:
+        raise ResourceLimitError(f"canonical form needs {orders} > {CANONICAL_ORDER_CAP} relabelings")
+    return min(
+        _relabeled(g, [v for part in parts for v in part])
+        for parts in itertools.product(*(itertools.permutations(cls) for cls in classes))
+    )
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -111,11 +124,6 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
     return canonical_form(g) == canonical_form(h)
-
-
-@lru_cache(maxsize=None)
-def _named_canonical(family: str, n: int, k: int | None, m: int | None) -> CanonicalForm:
-    return canonical_form(build_named(family, n, k=k, m=m))
 
 
 # -- family recognizers -------------------------------------------------------
@@ -146,34 +154,45 @@ def is_star_graph(g: Graph) -> bool:
     return g.n >= 3 and g.edge_count == g.n - 1 and max(g.degrees()) == g.n - 1
 
 
-def is_complete_graph(g: Graph) -> bool:
-    return g.edge_count == g.n * (g.n - 1) // 2
-
-
-def is_lollipop_graph(g: Graph, m: int = 3) -> bool:
-    """Isomorphic to the lollipop with clique size m and tail n-m >= 1?"""
-    k = g.n - m
-    if k < 1:
+def is_lollipop_graph(g: Graph) -> bool:
+    """Isomorphic to a triangle with a tail of n-3 >= 1?  Connected with n
+    edges and degrees 1, 3, 2, ..., 2 is a cycle with a tail at the
+    degree-3 hub; a triangle at the hub fixes the cycle length."""
+    n = g.n
+    if n < 4 or g.edge_count != n:
         return False
-    return (
-        sorted(g.degrees()) == sorted(build_named("lollipop", k=k, m=m).degrees())
-        and canonical_form(g) == _named_canonical("lollipop", g.n, k, m)
-    )
+    degs = g.degrees()
+    if sorted(degs) != [1] + [2] * (n - 2) + [3] or len(_cheap_components(g)) != 1:
+        return False
+    nbrs = g._adj[degs.index(3)]
+    return any(g._adj[v] & nbrs for v in range(n) if nbrs >> v & 1)
 
 
 def is_dynkin_graph(g: Graph) -> bool:
-    if g.n < 3:
+    """Isomorphic to D_n (D_3 is the path)?  A tree with degrees 1, 1, 1,
+    3, 2, ..., 2 is a spider with three legs at the degree-3 hub; two
+    leaves at the hub make the legs (1, 1, n-3)."""
+    n = g.n
+    if n == 3:
+        return is_path_graph(g)
+    if n < 4 or g.edge_count != n - 1:
         return False
-    return (
-        sorted(g.degrees()) == sorted(build_named("dynkin_d", g.n).degrees())
-        and canonical_form(g) == _named_canonical("dynkin_d", g.n, None, None)
-    )
+    degs = g.degrees()
+    if sorted(degs) != [1, 1, 1] + [2] * (n - 4) + [3] or len(_cheap_components(g)) != 1:
+        return False
+    nbrs = g._adj[degs.index(3)]
+    return sum(1 for v in range(n) if nbrs >> v & 1 and degs[v] == 1) >= 2
+
+
+@lru_cache(maxsize=None)
+def _theta0_form() -> CanonicalForm:
+    return canonical_form(build_named("theta0"))
 
 
 def is_theta0_graph(g: Graph) -> bool:
     if g.n != 7 or g.edge_count != 8:
         return False
-    return canonical_form(g) == _named_canonical("theta0", 7, None, None)
+    return canonical_form(g) == _theta0_form()
 
 
 def _cheap_components(g: Graph) -> list[int]:
@@ -185,7 +204,7 @@ def _cheap_components(g: Graph) -> list[int]:
 # -- exhaustive enumeration up to isomorphism ---------------------------------
 
 # Known counts of simple graphs up to isomorphism, used as a self-check.
-NONISOMORPHIC_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+NONISOMORPHIC_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 @lru_cache(maxsize=None)
@@ -195,9 +214,13 @@ def enumerate_nonisomorphic(n: int) -> tuple[Graph, ...]:
     Built by augmenting each (n-1)-vertex representative with one new
     vertex attached to every possible neighborhood, then deduplicating by
     canonical form.  Deterministic order: by edge count, then edge tuple.
+    Refuses up front past n = 8, where the edgeless graph's canonical
+    form alone would exceed the relabeling cap.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be positive, got {n}")
+    if math.factorial(n) > CANONICAL_ORDER_CAP:
+        raise ResourceLimitError(f"enumeration up to isomorphism is capped at n <= 8, got {n}")
     if n == 1:
         return (Graph(1),)
     seen: dict[CanonicalForm, Graph] = {}

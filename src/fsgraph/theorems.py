@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .config import (
     DEFAULT_CONFIG,
@@ -33,18 +34,19 @@ from .graphs import (
     structure_report,
 )
 from .iso import (
-    canonical_form,
     is_cycle_graph,
     is_dynkin_graph,
     is_lollipop_graph,
     is_path_graph,
     is_star_graph,
     is_theta0_graph,
+    refined_form,
 )
 from .orientations import (
     Orientation,
     enumerate_acyclic,
     linear_extensions,
+    linear_extensions_of_class,
     partition_by_moves,
 )
 from .perms import Permutation
@@ -148,17 +150,8 @@ def cycle_fs_structure(
             f"double-flip classes ({partition.class_count}) disagree with "
             f"T(1,0) * nu = {toric_count} * {nu}"
         )
-    classes = tuple(
-        (cls, _pooled_extensions(cls)) for cls in partition.classes
-    )
+    classes = tuple((cls, linear_extensions_of_class(cls)) for cls in partition.classes)
     return CycleStructure(count, nu, toric_count, classes)
-
-
-def _pooled_extensions(cls: tuple[Orientation, ...]) -> frozenset[Permutation]:
-    pooled: set[Permutation] = set()
-    for o in cls:
-        pooled.update(linear_extensions(o))
-    return frozenset(pooled)
 
 
 def cycle_is_connected(y: Graph) -> bool:
@@ -374,7 +367,7 @@ def _family_verdict(a: Graph, b: Graph, side: str) -> ConnectivityVerdict | None
                 {"side": side, "component_count": structure.component_count},
             )
         return None
-    if n >= 4 and is_lollipop_graph(a, 3):
+    if n >= 4 and is_lollipop_graph(a):
         min_deg = structure_report(b).min_degree
         return ConnectivityVerdict(
             "connected" if min_deg >= n - 2 else "disconnected",
@@ -485,13 +478,18 @@ def hereditary_sufficiency(
         raise InvalidArgumentError("X and Y must have the same number of vertices")
     if has_hamiltonian_path(x) is None:
         raise InvalidArgumentError("the recursion needs X to have a Hamiltonian path")
+    # Sound: FS(X, Y) connectivity depends only on the classes of X and Y.
     memo: dict = {}
     trace: list[str] = []
+    form = lru_cache(maxsize=None)(refined_form)
 
     def prove(xg: Graph, yg: Graph) -> bool:
         n = xg.n
         if n <= base_size:
-            ok = is_connected(FSInstance(xg, yg), config)
+            key = (form(xg), form(yg))
+            ok = memo.get(key)
+            if ok is None:
+                ok = memo[key] = is_connected(FSInstance(xg, yg), config)
             if len(trace) < 200:
                 trace.append(f"base n={n}: brute force says {'connected' if ok else 'disconnected'}")
             return ok
@@ -499,7 +497,7 @@ def hereditary_sufficiency(
             if len(trace) < 200:
                 trace.append(f"n={n}: partner graph disconnected, branch fails")
             return False
-        key = (canonical_form(xg), canonical_form(yg))
+        key = (form(xg), form(yg))
         if key in memo:
             return memo[key]
         memo[key] = False
@@ -513,7 +511,7 @@ def hereditary_sufficiency(
             relabel = {v: i for i, v in enumerate(path, start=1)}
             xr = xg.relabel(relabel)
             x_sub, _ = induced_subgraph(xr, range(1, n))
-            sub_form = canonical_form(x_sub)
+            sub_form = form(x_sub)
             if sub_form in tried:
                 continue
             tried.add(sub_form)

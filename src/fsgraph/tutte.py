@@ -7,14 +7,16 @@ Python integers; the evaluations used elsewhere in the package are
 T(2, 0), which counts acyclic orientations, and T(1, 0), which counts
 flip-equivalence classes of acyclic orientations.
 
-Memoization is keyed on a canonical relabeling produced by iterated
-degree refinement; hits are guaranteed sound (equal keys mean isomorphic
-multigraphs) and the refinement makes them frequent in practice.
+Memoization is keyed on the connected multigraph as the recursion holds
+it, ``(n, edges)``: contraction and the split into components already
+relabel every piece to 0..n-1 with sorted edges, so equal keys are
+identical multigraphs.  No isomorphism search is done: a canonical
+relabeling costs up to n! per node on symmetric graphs, and even color
+refinement alone, without the minimum, cost more than the extra hits it
+bought on the path and cycle count workloads.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .graphs import Graph
 
@@ -51,7 +53,7 @@ def _tutte(n: int, edges: MultiEdges, x: int, y: int, memo: dict) -> int:
         rest = tuple(e for e in edges if e[0] != e[1])
         return y**loops * _tutte(n, rest, x, y, memo)
 
-    key = _canonical_key(n, edges)
+    key = (n, edges)
     if key in memo:
         return memo[key]
 
@@ -140,53 +142,3 @@ def _contract(edges: MultiEdges, e: tuple[int, int]) -> MultiEdges:
     relabel = {v: i for i, v in enumerate(verts)}
     return tuple(sorted((relabel[u], relabel[v]) for u, v in out))
 
-
-def _canonical_key(n: int, edges: MultiEdges):
-    """Canonical relabeling of a multigraph via color refinement plus a
-    minimum over the refinement-respecting relabelings."""
-    mult: dict[tuple[int, int], int] = {}
-    loops = [0] * n
-    for a, b in edges:
-        if a == b:
-            loops[a] += 1
-        else:
-            mult[(a, b)] = mult.get((a, b), 0) + 1
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (a, b), k in mult.items():
-        nbrs[a].append((b, k))
-        nbrs[b].append((a, k))
-
-    colors = [0] * n
-    seed = sorted(
-        set((loops[v], sum(k for _, k in nbrs[v]), len(nbrs[v])) for v in range(n))
-    )
-    palette = {s: i for i, s in enumerate(seed)}
-    for v in range(n):
-        colors[v] = palette[(loops[v], sum(k for _, k in nbrs[v]), len(nbrs[v]))]
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted((colors[u], k) for u, k in nbrs[v])))
-            for v in range(n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new_colors = [palette[s] for s in sigs]
-        if new_colors == colors:
-            break
-        colors = new_colors
-
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    classes = [by_color[c] for c in sorted(by_color)]
-    best = None
-    for parts in itertools.product(*(itertools.permutations(cls) for cls in classes)):
-        order = [v for part in parts for v in part]
-        pos = [0] * n
-        for new, old in enumerate(order):
-            pos[old] = new
-        relabeled = tuple(
-            sorted((pos[a], pos[b]) if pos[a] <= pos[b] else (pos[b], pos[a]) for a, b in edges)
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    return (n, best)

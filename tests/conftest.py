@@ -22,6 +22,13 @@ FROZEN_CYCLE5_COMPONENT = frozenset(
     ).split()
 )
 
+PETERSEN = Graph(
+    10,
+    [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6), (2, 7), (3, 8), (4, 9), (5, 10),
+     (6, 8), (8, 10), (7, 10), (7, 9), (6, 9)],
+)
+PAW = Graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])   # a triangle with one pendant edge
+
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [

@@ -1,8 +1,10 @@
 import json
+import time
 
+from conftest import PAW, PETERSEN
 from fsgraph.cli import main, read_graph
 from fsgraph.graphio import graph_to_json_dict, to_graph6
-from fsgraph import build_named
+from fsgraph import build_named, disjoint_union
 
 
 def run_cli(capsys, *argv):
@@ -222,3 +224,26 @@ def test_oracle_sweep_with_random(capsys):
     )
     assert code == 0
     assert json.loads(out)["mismatches"] == []
+
+
+def test_decide_on_symmetric_and_disconnected_inputs_is_fast(capsys):
+    paw_and_cycle = disjoint_union(PAW, build_named("cycle", 10))
+    cases = (
+        ("family:complete:10", to_graph6(PETERSEN), "connected"),
+        (to_graph6(paw_and_cycle), "family:complete:14", "disconnected"),
+    )
+    for x, y, status in cases:
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "decide", "--x", x, "--y", y)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert json.loads(out)["status"] == status
+    assert json.loads(out)["theorem"] == "disconnected-factor"
+
+
+def test_oracle_sweep_refuses_past_eight_vertices(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle-sweep", "--max-n", "9")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert "n <= 8" in err

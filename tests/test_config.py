@@ -6,7 +6,7 @@ from fsgraph.config import STATE_CAP_ENV, _default_state_cap
 
 def test_defaults_are_positive():
     cfg = RunConfig()
-    assert cfg.state_cap > 0 and cfg.listing_cap > 0 and cfg.workers > 0
+    assert cfg.state_cap > 0 and cfg.listing_cap > 0
 
 
 def test_rejects_nonpositive_caps():
@@ -14,8 +14,6 @@ def test_rejects_nonpositive_caps():
         RunConfig(state_cap=0)
     with pytest.raises(InvalidArgumentError):
         RunConfig(listing_cap=-1)
-    with pytest.raises(InvalidArgumentError):
-        RunConfig(workers=0)
 
 
 def test_env_override(monkeypatch):

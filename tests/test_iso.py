@@ -1,8 +1,11 @@
 import itertools
 import random
+import time
 
-from conftest import random_graph
-from fsgraph import Graph, build_named
+import pytest
+
+from conftest import PAW, PETERSEN, random_graph
+from fsgraph import Graph, ResourceLimitError, build_named, disjoint_union
 from fsgraph.iso import (
     NONISOMORPHIC_COUNTS,
     canonical_form,
@@ -14,6 +17,7 @@ from fsgraph.iso import (
     is_path_graph,
     is_star_graph,
     is_theta0_graph,
+    refined_form,
 )
 
 
@@ -56,30 +60,70 @@ def test_enumeration_is_irredundant_and_complete_at_4():
         assert canonical_form(g) in forms
 
 
+def tadpole(cycle: int, tail: int) -> Graph:
+    """A cycle on 1..cycle with a path of `tail` vertices hanging off vertex 1."""
+    edges = [(i, i + 1) for i in range(1, cycle)] + [(cycle, 1)]
+    edges += [(1 if i == cycle + 1 else i - 1, i) for i in range(cycle + 1, cycle + tail + 1)]
+    return Graph(cycle + tail, edges)
+
+
+def spider(*legs: int) -> Graph:
+    """Paths of the given lengths joined at a hub, vertex 1."""
+    edges, v = [], 1
+    for length in legs:
+        prev = 1
+        for _ in range(length):
+            v += 1
+            edges.append((prev, v))
+            prev = v
+    return Graph(v, edges)
+
+
 def test_family_recognizers():
     rng = random.Random(4)
-    families = {
-        "path": (build_named("path", 6), is_path_graph),
-        "cycle": (build_named("cycle", 6), is_cycle_graph),
-        "star": (build_named("star", 6), is_star_graph),
-        "lollipop": (build_named("lollipop", k=3, m=3), lambda g: is_lollipop_graph(g, 3)),
-        "dynkin": (build_named("dynkin_d", 6), is_dynkin_graph),
-    }
-    for name, (g, predicate) in families.items():
-        assert predicate(g), name
-        assert predicate(shuffled_copy(g, rng)), name
+    cases = [
+        (build_named("path", 6), is_path_graph),
+        (build_named("cycle", 6), is_cycle_graph),
+        (build_named("star", 6), is_star_graph),
+        (build_named("lollipop", k=3, m=3), is_lollipop_graph),
+        (build_named("dynkin_d", 6), is_dynkin_graph),
+    ]
+    cases += [(tadpole(3, tail), is_lollipop_graph) for tail in range(1, 8)]
+    cases += [(spider(1, 1, k), is_dynkin_graph) for k in range(1, 10)]
+    for g, predicate in cases:
+        assert predicate(g), g
+        assert predicate(shuffled_copy(g, rng)), g
 
 
 def test_recognizers_reject_lookalikes():
-    # Tadpole: a 4-cycle with a 2-tail has the lollipop degree sequence but
-    # a longer cycle.
-    tadpole = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6)])
-    assert sorted(tadpole.degrees()) == sorted(build_named("lollipop", k=3, m=3).degrees())
-    assert not is_lollipop_graph(tadpole, 3)
+    rng = random.Random(5)
+    # Tadpoles with longer cycles, and a paw beside a 10-cycle, have the
+    # lollipop's edge count and degrees; a claw beside a 4-cycle and the
+    # other three-legged spiders have those of D_n.
+    assert sorted(tadpole(4, 2).degrees()) == sorted(build_named("lollipop", k=3, m=3).degrees())
+    paw_and_cycle = disjoint_union(PAW, build_named("cycle", 10))
+    assert sorted(paw_and_cycle.degrees()) == sorted(build_named("lollipop", k=11, m=3).degrees())
+    claw_and_cycle = disjoint_union(build_named("star", 4), build_named("cycle", 4))
+    assert sorted(claw_and_cycle.degrees()) == sorted(build_named("dynkin_d", 8).degrees())
+    cases = [(tadpole(c, tail), is_lollipop_graph) for c in range(4, 9) for tail in (1, 2, 5)]
+    cases += [(paw_and_cycle, is_lollipop_graph), (claw_and_cycle, is_dynkin_graph)]
+    cases += [(spider(*legs), is_dynkin_graph) for legs in ((1, 2, 2), (2, 2, 2), (1, 2, 4))]
+    for g, predicate in cases:
+        assert not predicate(g), g
+        assert not predicate(shuffled_copy(g, rng)), g
     assert not is_path_graph(build_named("star", 5))
     assert not is_cycle_graph(build_named("path", 4))
     # Disconnected 2-regular graph is not a cycle.
     assert not is_cycle_graph(Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]))
+
+
+def test_recognizers_match_isomorphism_exhaustively():
+    for n in range(3, 8):
+        lollipop = build_named("lollipop", k=n - 3, m=3) if n >= 4 else None
+        dynkin = build_named("dynkin_d", n)
+        for g in enumerate_nonisomorphic(n):
+            assert is_lollipop_graph(g) == (lollipop is not None and is_isomorphic(g, lollipop))
+            assert is_dynkin_graph(g) == is_isomorphic(g, dynkin)
 
 
 def test_small_coincidences():
@@ -97,3 +141,31 @@ def test_theta0_recognizer():
     assert is_theta0_graph(g)
     assert is_theta0_graph(shuffled_copy(g, rng))
     assert not is_theta0_graph(build_named("cycle", 7))
+
+
+def test_canonical_form_refuses_past_the_cap_up_front():
+    for refused in (
+        lambda: canonical_form(PETERSEN),
+        lambda: canonical_form(build_named("cycle", 9)),
+        lambda: enumerate_nonisomorphic(9),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            refused()
+        assert time.perf_counter() - start < 0.1
+
+
+def test_refined_form_is_sound():
+    rng = random.Random(23)
+    agreements = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        h = shuffled_copy(g, rng) if rng.random() < 0.5 else random_graph(rng, n)
+        if refined_form(g) == refined_form(h):
+            agreements += 1
+            assert is_isomorphic(g, h)
+    assert agreements > 50
+    hexagon = build_named("cycle", 6)
+    triangles = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    assert refined_form(hexagon) != refined_form(triangles)
