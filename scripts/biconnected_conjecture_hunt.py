@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 
-from fsgraph import FSInstance, is_connected, structure_report
+from fsgraph import FSInstance, ResourceLimitError, is_connected, structure_report
 from fsgraph.iso import enumerate_nonisomorphic
 
 
@@ -34,10 +35,18 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=200, help="random X per (n, Y)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    rng = random.Random(args.seed)
+    try:
+        return hunt(args.max_n, args.trials, random.Random(args.seed))
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return 3
 
+
+def hunt(max_n: int, trials: int, rng: random.Random) -> int:
+    if max_n >= 3:
+        enumerate_nonisomorphic(max_n)   # refuses past n = 8 before any search
     checked = 0
-    for n in range(3, args.max_n + 1):
+    for n in range(3, max_n + 1):
         partners = list(coprime_forest_partners(n))
         biconnected_x = [
             x for x in enumerate_nonisomorphic(n) if structure_report(x).is_biconnected
@@ -52,7 +61,7 @@ def main() -> int:
                     print("  Y:", y.edges)
                     return 1
         # a few random relabelings as a sanity check that labeling is irrelevant
-        for _ in range(args.trials):
+        for _ in range(trials):
             y = rng.choice(partners)
             x = rng.choice(biconnected_x)
             labels = list(range(1, n + 1))

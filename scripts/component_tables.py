@@ -12,8 +12,17 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 
-from fsgraph import FSInstance, build_named, components, cycle_fs_structure, path_fs_structure, star_fs_structure
+from fsgraph import (
+    FSInstance,
+    ResourceLimitError,
+    build_named,
+    components,
+    cycle_fs_structure,
+    path_fs_structure,
+    star_fs_structure,
+)
 from fsgraph.iso import enumerate_nonisomorphic
 
 
@@ -22,19 +31,27 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=5)
     parser.add_argument("--family", choices=("path", "cycle", "star"), default="cycle")
     args = parser.parse_args()
-    n = args.n
-    if args.family in ("cycle", "star") and n < 3:
+    if args.family in ("cycle", "star") and args.n < 3:
         parser.error("cycle and star positions need n >= 3")
-    x = build_named(args.family, n)
+    try:
+        return print_table(args.family, args.n)
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return 3
 
-    print(f"FS({args.family}_{n}, Y) over all {n}-vertex partner classes")
+
+def print_table(family: str, n: int) -> int:
+    x = build_named(family, n)
+    partners = enumerate_nonisomorphic(n)   # refuses past n = 8 before any output
+
+    print(f"FS({family}_{n}, Y) over all {n}-vertex partner classes")
     print(f"{'edges of Y':<44} {'brute':>6} {'theorem':>8}")
     mismatches = 0
-    for y in enumerate_nonisomorphic(n):
+    for y in partners:
         brute = components(FSInstance(x, y)).component_count
-        if args.family == "path":
+        if family == "path":
             fast = path_fs_structure(y).component_count
-        elif args.family == "cycle":
+        elif family == "cycle":
             fast = cycle_fs_structure(y).component_count
         else:
             structure = star_fs_structure(y)

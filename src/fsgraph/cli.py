@@ -27,7 +27,7 @@ from .fscore import (
     is_connected,
 )
 from .graphio import parse_graph, to_dot
-from .graphs import Graph, build_named
+from .graphs import NAMED_FAMILIES, Graph, build_named
 from .iso import enumerate_nonisomorphic
 from .orientations import enumerate_acyclic, partition_by_moves, phi
 from .perms import Permutation
@@ -39,6 +39,7 @@ from .theorems import (
     tutte_eval,
 )
 
+# Parameters each family takes in a ``family:<name>:<p1>,<p2>`` spec.
 _FAMILY_PARAM_COUNT = {
     "complete": 1,
     "path": 1,
@@ -68,7 +69,7 @@ def read_graph(spec: str) -> Graph:
 def _family_graph(spec: str) -> Graph:
     parts = spec.split(":")
     name = parts[1] if len(parts) > 1 else ""
-    if name not in _FAMILY_PARAM_COUNT:
+    if name not in NAMED_FAMILIES:
         raise InvalidArgumentError(f"unknown family {name!r} in {spec!r}")
     raw_params = parts[2].split(",") if len(parts) > 2 and parts[2] else []
     try:

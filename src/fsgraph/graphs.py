@@ -59,6 +59,23 @@ class Graph:
         self._adj = tuple(adj)
         self._edges = tuple(sorted(edge_set))
 
+    @classmethod
+    def _from_masks(cls, adj: tuple[int, ...]) -> "Graph":
+        """Unchecked constructor from 0-indexed adjacency masks; the caller
+        guarantees them symmetric, loop-free and inside range(len(adj))."""
+        g = object.__new__(cls)
+        g.n = len(adj)
+        g._adj = tuple(adj)
+        edges = []
+        for a, mask in enumerate(g._adj):
+            mask >>= a + 1
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                edges.append((a, a + low.bit_length()))
+        g._edges = tuple(edges)
+        return g
+
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -108,15 +125,8 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def complement(self) -> "Graph":
-        n = self.n
-        full = (1 << n) - 1
-        edges = []
-        for a in range(n):
-            comp = full & ~self._adj[a] & ~(1 << a)
-            for b in range(a + 1, n):
-                if comp >> b & 1:
-                    edges.append((a + 1, b + 1))
-        return Graph(n, edges)
+        full = (1 << self.n) - 1
+        return Graph._from_masks(tuple(full & ~(m | 1 << a) for a, m in enumerate(self._adj)))
 
     def relabel(self, mapping: dict[int, int]) -> "Graph":
         """Apply a bijection old -> new on 1..n to all edges."""
@@ -124,7 +134,12 @@ class Graph:
             range(1, self.n + 1)
         ):
             raise InvalidArgumentError("relabeling must be a bijection of 1..n")
-        return Graph(self.n, ((mapping[a], mapping[b]) for a, b in self.edges))
+        adj = [0] * self.n
+        for a, b in self._edges:
+            na, nb = mapping[a + 1] - 1, mapping[b + 1] - 1
+            adj[na] |= 1 << nb
+            adj[nb] |= 1 << na
+        return Graph._from_masks(tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -152,8 +167,7 @@ class VertexSubset:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """The graph g + h with h's vertices shifted up by g.n."""
-    edges = list(g.edges) + [(a + g.n, b + g.n) for a, b in h.edges]
-    return Graph(g.n + h.n, edges)
+    return Graph._from_masks(g._adj + tuple(m << g.n for m in h._adj))
 
 
 # -- named families --------------------------------------------------------
@@ -252,18 +266,28 @@ def induced_subgraph(g: Graph, members: Iterable[int] | VertexSubset) -> tuple[G
         g._check_vertex(v)
     ordered = sorted(member_set)
     mapping = {old: new for new, old in enumerate(ordered, start=1)}
-    edges = [
-        (mapping[a], mapping[b]) for a, b in g.edges if a in member_set and b in member_set
-    ]
-    return Graph(len(ordered), edges), mapping
+    adj = g._adj
+    sub = tuple(
+        sum(1 << j for j, u in enumerate(ordered) if adj[v - 1] >> (u - 1) & 1) for v in ordered
+    )
+    return Graph._from_masks(sub), mapping
+
+
+def _drop_vertex(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """Masks of the graph minus 0-indexed vertex v: the bits below v stay,
+    the bits above it move down by one."""
+    low = (1 << v) - 1
+    return tuple(m & low | m >> 1 & ~low for m in adj[:v] + adj[v + 1 :])
 
 
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on everything but v (needs n >= 2)."""
+    """Induced subgraph on everything but v (needs n >= 2), plus the
+    old->new map."""
     g._check_vertex(v)
     if g.n == 1:
         raise InvalidArgumentError("cannot delete the only vertex")
-    return induced_subgraph(g, (u for u in range(1, g.n + 1) if u != v))
+    mapping = {u: u - (u > v) for u in range(1, g.n + 1) if u != v}
+    return Graph._from_masks(_drop_vertex(g._adj, v - 1)), mapping
 
 
 # -- structural report -------------------------------------------------------
@@ -381,30 +405,40 @@ def structure_report(g: Graph) -> StructureReport:
 # -- Hamiltonian paths and prolongations -------------------------------------
 
 
+def _hamiltonian_paths(adj: tuple[int, ...]):
+    """Yield the Hamiltonian paths of the mask graph as 0-indexed vertex
+    tuples, in lexicographic order of the sequence; both traversal
+    directions are produced."""
+    n = len(adj)
+    if n == 1:
+        yield (0,)
+        return
+    for start in range(n):
+        path = [start]
+        visited = 1 << start
+        pending = [adj[start] & ~visited]   # untried next vertices, per depth
+        while pending:
+            nbrs = pending[-1]
+            if not nbrs:
+                pending.pop()
+                visited ^= 1 << path.pop()
+                continue
+            low = nbrs & -nbrs
+            pending[-1] = nbrs ^ low
+            path.append(low.bit_length() - 1)
+            if len(path) == n:
+                yield tuple(path)
+                path.pop()
+            else:
+                visited |= low
+                pending.append(adj[path[-1]] & ~visited)
+
+
 def iter_hamiltonian_paths(g: Graph):
     """Yield Hamiltonian paths as 1-indexed vertex tuples, in lexicographic
     order of the sequence.  Both traversal directions are produced."""
-    n = g.n
-    if n == 1:
-        yield (1,)
-        return
-    adj = g._adj
-    path = [0] * n
-
-    def extend(v: int, visited: int, depth: int):
-        path[depth - 1] = v
-        if depth == n:
-            yield tuple(u + 1 for u in path)
-            return
-        nbrs = adj[v] & ~visited
-        while nbrs:
-            u_bit = nbrs & -nbrs
-            nbrs &= nbrs - 1
-            u = u_bit.bit_length() - 1
-            yield from extend(u, visited | u_bit, depth + 1)
-
-    for start in range(n):
-        yield from extend(start, 1 << start, 1)
+    for path in _hamiltonian_paths(g._adj):
+        yield tuple(v + 1 for v in path)
 
 
 def has_hamiltonian_path(g: Graph) -> tuple[int, ...] | None:

@@ -27,10 +27,11 @@ from .errors import InvalidArgumentError
 from .fscore import FSInstance, component_count, is_connected, iter_component_states
 from .graphs import (
     Graph,
-    delete_vertex,
+    _component_masks,
+    _drop_vertex,
+    _hamiltonian_paths,
     has_hamiltonian_path,
     induced_subgraph,
-    iter_hamiltonian_paths,
     structure_report,
 )
 from .iso import (
@@ -473,49 +474,66 @@ def hereditary_sufficiency(
     Y leaves an instance that recurses successfully on (X minus the path's
     last vertex); at ``base_size`` vertices the recursion bottoms out in a
     brute-force search.  Failure to certify proves nothing.
+
+    The recursion runs on 0-indexed adjacency-mask tuples, not on
+    :class:`Graph` objects.  Three caches local to one call derive each
+    graph's refined form, each Y's one-vertex deletions and each X's
+    deduplicated path minors (X relabeled along one of its first
+    ``max_labelings`` Hamiltonian paths, minus the last vertex) once.
     """
     if x.n != y.n:
         raise InvalidArgumentError("X and Y must have the same number of vertices")
+    if base_size < 1:
+        raise InvalidArgumentError(f"base_size must be positive, got {base_size}")
     if has_hamiltonian_path(x) is None:
         raise InvalidArgumentError("the recursion needs X to have a Hamiltonian path")
     # Sound: FS(X, Y) connectivity depends only on the classes of X and Y.
     memo: dict = {}
     trace: list[str] = []
-    form = lru_cache(maxsize=None)(refined_form)
 
-    def prove(xg: Graph, yg: Graph) -> bool:
-        n = xg.n
+    @lru_cache(maxsize=None)
+    def form(adj: tuple[int, ...]):
+        return refined_form(Graph._from_masks(adj))
+
+    @lru_cache(maxsize=None)
+    def deletions(adj: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        return tuple(_drop_vertex(adj, v) for v in range(len(adj)))
+
+    @lru_cache(maxsize=None)
+    def candidates(adj: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(labeling number, path minor) per path, the first of each form."""
+        tried: set = set()
+        found = []
+        for labelings, path in zip(range(1, max_labelings + 1), _hamiltonian_paths(adj)):
+            sub = _path_minor(adj, path)
+            sub_form = form(sub)
+            if sub_form not in tried:
+                tried.add(sub_form)
+                found.append((labelings, sub))
+        return tuple(found)
+
+    def prove(xa: tuple[int, ...], ya: tuple[int, ...]) -> bool:
+        n = len(xa)
         if n <= base_size:
-            key = (form(xg), form(yg))
+            key = (form(xa), form(ya))
             ok = memo.get(key)
             if ok is None:
-                ok = memo[key] = is_connected(FSInstance(xg, yg), config)
+                inst = FSInstance(Graph._from_masks(xa), Graph._from_masks(ya))
+                ok = memo[key] = is_connected(inst, config)
             if len(trace) < 200:
                 trace.append(f"base n={n}: brute force says {'connected' if ok else 'disconnected'}")
             return ok
-        if not structure_report(yg).is_connected:
+        if len(_component_masks(ya, (1 << n) - 1)) != 1:
             if len(trace) < 200:
                 trace.append(f"n={n}: partner graph disconnected, branch fails")
             return False
-        key = (form(xg), form(yg))
+        key = (form(xa), form(ya))
         if key in memo:
             return memo[key]
         memo[key] = False
         ok = False
-        tried: set = set()
-        labelings = 0
-        for path in iter_hamiltonian_paths(xg):
-            labelings += 1
-            if labelings > max_labelings:
-                break
-            relabel = {v: i for i, v in enumerate(path, start=1)}
-            xr = xg.relabel(relabel)
-            x_sub, _ = induced_subgraph(xr, range(1, n))
-            sub_form = form(x_sub)
-            if sub_form in tried:
-                continue
-            tried.add(sub_form)
-            if all(prove(x_sub, delete_vertex(yg, v)[0]) for v in range(1, n + 1)):
+        for labelings, sub in candidates(xa):
+            if all(prove(sub, yd) for yd in deletions(ya)):
                 ok = True
                 if len(trace) < 200:
                     trace.append(f"n={n}: certified via Hamiltonian relabeling #{labelings}")
@@ -525,8 +543,27 @@ def hereditary_sufficiency(
         memo[key] = ok
         return ok
 
-    proven = prove(x, y)
+    proven = prove(x._adj, y._adj)
     return HereditaryResult(proven, tuple(trace))
+
+
+def _path_minor(adj: tuple[int, ...], path: tuple[int, ...]) -> tuple[int, ...]:
+    """Masks of the graph relabeled so that path[i] becomes vertex i, minus
+    the path's last vertex."""
+    position = [0] * len(path)
+    for i, v in enumerate(path):
+        position[v] = i
+    keep = ~(1 << path[-1])
+    rows = []
+    for v in path[:-1]:
+        nbrs = adj[v] & keep
+        row = 0
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            row |= 1 << position[low.bit_length() - 1]
+        rows.append(row)
+    return tuple(rows)
 
 
 def hereditary_component_bound(

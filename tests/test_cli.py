@@ -2,9 +2,10 @@ import json
 import time
 
 from conftest import PAW, PETERSEN
-from fsgraph.cli import main, read_graph
+from fsgraph.cli import _FAMILY_PARAM_COUNT, main, read_graph
 from fsgraph.graphio import graph_to_json_dict, to_graph6
 from fsgraph import build_named, disjoint_union
+from fsgraph.graphs import NAMED_FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -247,3 +248,7 @@ def test_oracle_sweep_refuses_past_eight_vertices(capsys):
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert "n <= 8" in err
+
+
+def test_family_parameter_table_covers_exactly_the_named_families():
+    assert set(_FAMILY_PARAM_COUNT) == set(NAMED_FAMILIES)

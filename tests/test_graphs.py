@@ -17,6 +17,7 @@ from fsgraph import (
     is_prolongation,
     structure_report,
 )
+from fsgraph.graphs import _drop_vertex, _hamiltonian_paths, iter_hamiltonian_paths
 
 
 def graph_strategy(max_n=8):
@@ -146,6 +147,78 @@ def test_delete_vertex_relabels():
     assert sub.edges == ((2, 3),)
 
 
+# -- mask-level construction ---------------------------------------------------------
+
+
+def _shuffled_random_graph(rng: random.Random, n: int) -> Graph:
+    """A random graph with its labels shuffled, so no test leans on the
+    order in which random_graph draws edges."""
+    g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    return g.relabel(dict(zip(range(1, n + 1), labels)))
+
+
+def _validated_induced(g: Graph, members) -> Graph:
+    """The induced subgraph built edge by edge through the checking
+    constructor, as a reference for the mask-level builders."""
+    ordered = sorted(members)
+    new = {old: i for i, old in enumerate(ordered, start=1)}
+    return Graph(len(ordered), [(new[a], new[b]) for a, b in g.edges if a in new and b in new])
+
+
+def _same_graph(a: Graph, b: Graph) -> bool:
+    return a.n == b.n and a._adj == b._adj and a.edges == b.edges
+
+
+def test_mask_builders_match_validated_construction():
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        g = _shuffled_random_graph(rng, n)
+        h = _shuffled_random_graph(rng, rng.randint(1, 5))
+        assert _same_graph(Graph._from_masks(g._adj), g)
+        missing = [
+            (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if not g.has_edge(a, b)
+        ]
+        assert _same_graph(g.complement(), Graph(n, missing))
+        shifted = [(a + n, b + n) for a, b in h.edges]
+        assert _same_graph(disjoint_union(g, h), Graph(n + h.n, list(g.edges) + shifted))
+        labels = list(range(1, n + 1))
+        rng.shuffle(labels)
+        mapping = dict(zip(range(1, n + 1), labels))
+        relabeled = Graph(n, [(mapping[a], mapping[b]) for a, b in g.edges])
+        assert _same_graph(g.relabel(mapping), relabeled)
+        members = [v for v in range(1, n + 1) if rng.random() < 0.6] or [n]
+        sub, sub_map = induced_subgraph(g, members)
+        assert _same_graph(sub, _validated_induced(g, members))
+        assert sub_map == {old: new for new, old in enumerate(sorted(members), start=1)}
+
+
+def test_drop_vertex_matches_delete_vertex():
+    rng = random.Random(42)
+    for _ in range(100):
+        n = rng.randint(2, 9)
+        g = _shuffled_random_graph(rng, n)
+        for v in range(1, n + 1):
+            dropped = _drop_vertex(g._adj, v - 1)
+            assert dropped == delete_vertex(g, v)[0]._adj
+            rest = [u for u in range(1, n + 1) if u != v]
+            assert dropped == _validated_induced(g, rest)._adj
+
+
+def test_builders_keep_checking_caller_input():
+    g = build_named("path", 4)
+    with pytest.raises(InvalidArgumentError):
+        g.relabel({1: 1, 2: 1, 3: 3, 4: 4})
+    with pytest.raises(InvalidArgumentError):
+        induced_subgraph(g, [1, 5])
+    with pytest.raises(InvalidArgumentError):
+        delete_vertex(g, 0)
+    with pytest.raises(InvalidArgumentError):
+        delete_vertex(Graph(1), 1)
+
+
 # -- structure report -------------------------------------------------------------
 
 
@@ -243,6 +316,22 @@ def test_hamiltonian_agrees_with_brute_force():
         if found is not None:
             assert all(g.has_edge(found[i], found[i + 1]) for i in range(n - 1))
             assert sorted(found) == list(range(1, n + 1))
+
+
+def test_mask_paths_match_iter_hamiltonian_paths():
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        g = _shuffled_random_graph(rng, n)
+        shifted = [tuple(v + 1 for v in path) for path in _hamiltonian_paths(g._adj)]
+        assert shifted == list(iter_hamiltonian_paths(g))
+        if n <= 7:
+            brute = [
+                order
+                for order in itertools.permutations(range(1, n + 1))
+                if all(g.has_edge(order[i], order[i + 1]) for i in range(n - 1))
+            ]
+            assert shifted == brute
 
 
 # -- prolongations --------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -28,7 +30,15 @@ from fsgraph import (
     star_fs_structure,
     structure_report,
 )
-from fsgraph.iso import enumerate_nonisomorphic
+from fsgraph.config import DEFAULT_CONFIG, DEFAULT_HEREDITARY_BASE
+from fsgraph.graphs import (
+    delete_vertex,
+    has_hamiltonian_path,
+    induced_subgraph,
+    iter_hamiltonian_paths,
+)
+from fsgraph.iso import enumerate_nonisomorphic, refined_form
+from fsgraph.theorems import HereditaryResult, _path_minor
 
 # A 5-vertex graph with a Hamiltonian path for which FS(X, Y) is connected
 # whenever Y has minimum degree >= 2; found by exhaustive search over all
@@ -408,6 +418,99 @@ def test_hereditary_never_proves_disconnected_instances_fuzz():
         result = hereditary_sufficiency(x, y)
         if result.proven_connected:
             assert is_connected(FSInstance(x, y))
+
+
+def test_hereditary_rejects_nonpositive_base():
+    x = build_named("lollipop", k=3, m=3)
+    with pytest.raises(InvalidArgumentError):
+        hereditary_sufficiency(x, build_named("complete", 6), base_size=0)
+
+
+def _reference_hereditary(
+    x, y, base_size=DEFAULT_HEREDITARY_BASE, config=DEFAULT_CONFIG, max_labelings=24
+):
+    """The recursion on Graph objects, kept as the reference that the
+    mask-level implementation must match trace for trace."""
+    memo: dict = {}
+    trace: list[str] = []
+    form = lru_cache(maxsize=None)(refined_form)
+
+    def prove(xg, yg):
+        n = xg.n
+        if n <= base_size:
+            key = (form(xg), form(yg))
+            ok = memo.get(key)
+            if ok is None:
+                ok = memo[key] = is_connected(FSInstance(xg, yg), config)
+            if len(trace) < 200:
+                trace.append(f"base n={n}: brute force says {'connected' if ok else 'disconnected'}")
+            return ok
+        if not structure_report(yg).is_connected:
+            if len(trace) < 200:
+                trace.append(f"n={n}: partner graph disconnected, branch fails")
+            return False
+        key = (form(xg), form(yg))
+        if key in memo:
+            return memo[key]
+        memo[key] = False
+        ok = False
+        tried: set = set()
+        labelings = 0
+        for path in iter_hamiltonian_paths(xg):
+            labelings += 1
+            if labelings > max_labelings:
+                break
+            relabel = {v: i for i, v in enumerate(path, start=1)}
+            xr = xg.relabel(relabel)
+            x_sub, _ = induced_subgraph(xr, range(1, n))
+            sub_form = form(x_sub)
+            if sub_form in tried:
+                continue
+            tried.add(sub_form)
+            if all(prove(x_sub, delete_vertex(yg, v)[0]) for v in range(1, n + 1)):
+                ok = True
+                if len(trace) < 200:
+                    trace.append(f"n={n}: certified via Hamiltonian relabeling #{labelings}")
+                break
+        if not ok and len(trace) < 200:
+            trace.append(f"n={n}: no Hamiltonian relabeling certified the instance")
+        memo[key] = ok
+        return ok
+
+    proven = prove(x, y)
+    return HereditaryResult(proven, tuple(trace))
+
+
+def test_hereditary_matches_graph_object_reference():
+    rng = random.Random(31)
+    pairs = proven = 0
+    while pairs < 300:
+        n = rng.randint(6, 8)
+        x = random_graph(rng, n, rng.choice([0.4, 0.55, 0.7]))
+        if has_hamiltonian_path(x) is None:
+            continue
+        y = random_graph(rng, n, rng.choice([0.4, 0.55, 0.7]))
+        max_labelings = rng.choice([3, 24])
+        got = hereditary_sufficiency(x, y, max_labelings=max_labelings)
+        assert got == _reference_hereditary(x, y, max_labelings=max_labelings), (x, y)
+        pairs += 1
+        proven += got.proven_connected
+    # Both verdicts occur, so the comparison covers certified and failed branches.
+    assert 0 < proven < pairs
+
+
+def test_path_minor_matches_relabel_then_delete():
+    rng = random.Random(32)
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        g = random_graph(rng, n, rng.choice([0.4, 0.6, 0.8]))
+        labels = list(range(1, n + 1))
+        rng.shuffle(labels)
+        g = g.relabel(dict(zip(range(1, n + 1), labels)))
+        for path in itertools.islice(iter_hamiltonian_paths(g), 60):
+            along = g.relabel({v: i for i, v in enumerate(path, start=1)})
+            want = induced_subgraph(along, range(1, n))[0]._adj
+            assert _path_minor(g._adj, tuple(v - 1 for v in path)) == want
 
 
 def test_component_bound_complete_partner():
