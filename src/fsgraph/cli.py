@@ -12,6 +12,7 @@ an oracle sweep finds a mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -29,7 +30,7 @@ from .fscore import (
 from .graphio import parse_graph, to_dot
 from .graphs import NAMED_FAMILIES, Graph, build_named
 from .iso import enumerate_nonisomorphic
-from .orientations import enumerate_acyclic, partition_by_moves, phi
+from .orientations import _check_edge_cap, enumerate_acyclic, partition_by_moves, phi
 from .perms import Permutation
 from .theorems import (
     cycle_fs_structure,
@@ -184,14 +185,15 @@ def _cmd_star_structure(args, config: RunConfig):
 
 def _cmd_acyc_enumerate(args, config: RunConfig):
     g = read_graph(args.g)
-    orientations = enumerate_acyclic(g)
-    payload: dict = {"count": len(orientations)}
-    if len(orientations) <= config.listing_cap:
-        payload["orientations"] = [str(o) for o in orientations]
+    _check_edge_cap(g)
+    count = tutte_eval(g, 2, 0)   # T(2, 0) counts them without listing
+    payload: dict = {"count": count}
+    if count <= config.listing_cap:
+        payload["orientations"] = [str(o) for o in enumerate_acyclic(g)]
     else:
         payload["orientations"] = None
         payload["orientations_error"] = (
-            f"{len(orientations)} orientations exceed the listing cap of {config.listing_cap}"
+            f"{count} orientations exceed the listing cap of {config.listing_cap}"
         )
     return payload
 
@@ -287,7 +289,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--listing-cap", type=int, default=None, help="max permutations listed")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and it looks up sys.stdout and sys.stderr only when it
+    writes."""
     parser = argparse.ArgumentParser(
         prog="fsgraph",
         description="Friends-and-strangers graph explorer and structure-theorem engine",

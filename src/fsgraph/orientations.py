@@ -10,8 +10,6 @@ are order-stable.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import deque
 
 from .config import DEFAULT_EDGE_CAP, DEFAULT_EXTENSION_VERTEX_CAP
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
@@ -56,18 +54,18 @@ class Orientation:
                 out[a] |= 1 << b
         return out
 
+    def _masks(self) -> tuple[list[int], int, int]:
+        """Incident-edge masks per vertex, and the source and sink masks."""
+        inc, low, high = _incidence(self.graph)
+        src, snk = _ends(self.bits, inc, low, high)
+        return inc, src, snk
+
     def sources(self) -> tuple[int, ...]:
         """Vertices of in-degree 0 (isolated vertices count)."""
-        indeg = [0] * self.graph.n
-        for tail, head in self.directed_edges():
-            indeg[head - 1] += 1
-        return tuple(v + 1 for v in range(self.graph.n) if indeg[v] == 0)
+        return _vertices(self._masks()[1])
 
     def sinks(self) -> tuple[int, ...]:
-        outdeg = [0] * self.graph.n
-        for tail, head in self.directed_edges():
-            outdeg[tail - 1] += 1
-        return tuple(v + 1 for v in range(self.graph.n) if outdeg[v] == 0)
+        return _vertices(self._masks()[2])
 
     def is_acyclic(self) -> bool:
         n = self.graph.n
@@ -141,19 +139,13 @@ class Orientation:
 
     # -- flip moves ---------------------------------------------------------
 
-    def _incident_bits(self, v: int) -> int:
-        mask = 0
-        for t, (a, b) in enumerate(self.graph._edges):
-            if a == v - 1 or b == v - 1:
-                mask |= 1 << t
-        return mask
-
     def flip(self, v: int) -> "Orientation":
         """Reverse every edge at v; v must currently be a source or a sink."""
         self.graph._check_vertex(v)
-        if v not in self.sources() and v not in self.sinks():
+        inc, src, snk = self._masks()
+        if not (src | snk) >> (v - 1) & 1:
             raise InvalidMoveError(f"vertex {v} is neither a source nor a sink")
-        return Orientation(self.graph, self.bits ^ self._incident_bits(v))
+        return Orientation(self.graph, self.bits ^ inc[v - 1])
 
     def double_flip(self, u: int, v: int) -> "Orientation":
         """Flip the source u into a sink and the sink v into a source;
@@ -164,11 +156,12 @@ class Orientation:
             raise InvalidMoveError("double flip needs two distinct vertices")
         if self.graph.has_edge(u, v):
             raise InvalidMoveError(f"vertices {u} and {v} are adjacent")
-        if u not in self.sources():
+        inc, src, snk = self._masks()
+        if not src >> (u - 1) & 1:
             raise InvalidMoveError(f"vertex {u} is not a source")
-        if v not in self.sinks():
+        if not snk >> (v - 1) & 1:
             raise InvalidMoveError(f"vertex {v} is not a sink")
-        return Orientation(self.graph, self.bits ^ self._incident_bits(u) ^ self._incident_bits(v))
+        return Orientation(self.graph, self.bits ^ inc[u - 1] ^ inc[v - 1])
 
     def ab_flip(self, sources_to_flip, sinks_to_flip) -> "Orientation":
         """Simultaneously flip a set of sources and a set of sinks; all the
@@ -183,17 +176,16 @@ class Orientation:
         for x, y in itertools.combinations(chosen, 2):
             if self.graph.has_edge(x, y):
                 raise InvalidMoveError(f"vertices {x} and {y} are adjacent")
-        src = set(self.sources())
-        snk = set(self.sinks())
+        inc, src, snk = self._masks()
         for u in us:
-            if u not in src:
+            if not src >> (u - 1) & 1:
                 raise InvalidMoveError(f"vertex {u} is not a source")
         for v in vs:
-            if v not in snk:
+            if not snk >> (v - 1) & 1:
                 raise InvalidMoveError(f"vertex {v} is not a sink")
         bits = self.bits
         for w in chosen:
-            bits ^= self._incident_bits(w)
+            bits ^= inc[w - 1]
         return Orientation(self.graph, bits)
 
     # -- identity, order, text ----------------------------------------------
@@ -260,35 +252,124 @@ def orientation_from_permutation(graph: Graph, sigma: Permutation) -> Orientatio
     return Orientation(graph, bits)
 
 
-def enumerate_acyclic(graph: Graph, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[Orientation, ...]:
-    """All acyclic orientations, sorted by direction bit vector.
+def _incidence(graph: Graph) -> tuple[list[int], list[int], list[int]]:
+    """Per vertex, the edge bits of its edges, of those where it is the low
+    endpoint and of those where it is the high endpoint."""
+    low = [0] * graph.n
+    high = [0] * graph.n
+    for t, (a, b) in enumerate(graph._edges):
+        low[a] |= 1 << t
+        high[b] |= 1 << t
+    return [lo | hi for lo, hi in zip(low, high)], low, high
 
-    Small edge counts get the straight filter over all 2^m direction
-    vectors; past 16 edges it is cheaper to collect the orientations
-    induced by all n! vertex orders, which produces the same set.
+
+def _ends(bits: int, inc, low, high) -> tuple[int, int]:
+    """Source and sink masks of the orientation with direction bits `bits`.
+    A clear bit points low -> high, so v is a source exactly when the set
+    bits among its edges are those where v is the high endpoint."""
+    src = snk = 0
+    for v, e in enumerate(inc):
+        d = bits & e
+        if d == high[v]:
+            src |= 1 << v
+        if d == low[v]:
+            snk |= 1 << v
+    return src, snk
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The 1-indexed vertices of a mask, ascending."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length())
+    return tuple(out)
+
+
+def _check_edge_cap(graph: Graph, edge_cap: int = DEFAULT_EDGE_CAP) -> None:
+    if graph.edge_count > edge_cap:
+        raise ResourceLimitError(
+            f"{graph.edge_count} edges exceeds the enumeration cap of {edge_cap}"
+        )
+
+
+def _acyclic_bits(graph: Graph) -> list[int]:
+    """Direction bit vectors of all acyclic orientations, ascending.
+
+    Backtracks over the edges from the last to the first, trying low -> high
+    before high -> low, so the vectors come out sorted.  ``reach[v]`` is the
+    set of vertices v reaches (v included) through the edges placed so far;
+    a -> b is placed only when b cannot reach a.  One of the two directions
+    always passes, so every branch ends in an acyclic orientation and the
+    cost is O(count * m * n) (cf. Squire, "Generating the acyclic
+    orientations of a graph", J. Algorithms 1998).
     """
-    m = graph.edge_count
-    if m > edge_cap:
-        raise ResourceLimitError(f"{m} edges exceeds the enumeration cap of {edge_cap}")
-    if m == 0:
-        return (Orientation(graph, 0),)
-    if m <= 16 or math.factorial(graph.n) >= 1 << m:
-        result = [
-            o for bits in range(1 << m) if (o := Orientation(graph, bits)).is_acyclic()
-        ]
-        return tuple(result)
-    seen: set[int] = set()
     edges = graph._edges
-    for word in itertools.permutations(range(graph.n)):
-        position = [0] * graph.n
-        for pos, v in enumerate(word):
-            position[v] = pos
-        bits = 0
-        for t, (a, b) in enumerate(edges):
-            if position[a] > position[b]:
-                bits |= 1 << t
-        seen.add(bits)
-    return tuple(Orientation(graph, bits) for bits in sorted(seen))
+    out: list[int] = []
+    stack = [(len(edges) - 1, 0, [1 << v for v in range(graph.n)])]
+    while stack:
+        t, bits, reach = stack.pop()
+        if t < 0:
+            out.append(bits)
+            continue
+        a, b = edges[t]
+        # Pushed first, popped second: high -> low, legal when a cannot reach b.
+        if not reach[a] >> b & 1:
+            ra = reach[a]
+            stack.append(
+                (t - 1, bits | 1 << t, [r | ra if r >> b & 1 else r for r in reach])
+            )
+        if not reach[b] >> a & 1:
+            rb = reach[b]
+            stack.append((t - 1, bits, [r | rb if r >> a & 1 else r for r in reach]))
+    return out
+
+
+def enumerate_acyclic(graph: Graph, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[Orientation, ...]:
+    """All acyclic orientations, sorted by direction bit vector."""
+    _check_edge_cap(graph, edge_cap)
+    return tuple(Orientation(graph, bits) for bits in _acyclic_bits(graph))
+
+
+def _orders_by_orientation(graph: Graph) -> dict[int, list[Permutation]]:
+    """All n! vertex orders, grouped by the direction bits of the acyclic
+    orientation each one induces (edges point from the earlier vertex).
+
+    The keys are exactly the acyclic orientations, and each group is the
+    set of linear extensions of its key, listed in lexicographic order.
+    The orders grow one position at a time, in lexicographic order, as
+    (placed vertex mask, bits so far) pairs.  Placing v after the vertices
+    in p sets the bits of v's low-endpoint edges whose other endpoint is in
+    p; ``steps[p]`` tabulates that, with the next mask, per free vertex.
+    """
+    n = graph.n
+    inc, low, _ = _incidence(graph)
+    seen = [0] * (1 << n)   # seen[p]: bits of the edges at the vertices of p
+    steps = []
+    for p in range(1 << n):
+        if p:
+            seen[p] = seen[p & (p - 1)] | inc[(p & -p).bit_length() - 1]
+        steps.append([(p | 1 << v, low[v] & seen[p]) for v in range(n) if not p >> v & 1])
+    # last[q]: the bits set by placing the one vertex left out of q (0 if none).
+    last = [step[0][1] if step else 0 for step in steps]
+    states = [(0, 0)]
+    for _ in range(n - 2):
+        states = [(q, bits | add) for p, bits in states for q, add in steps[p]]
+    # The last two placements run in this loop, so the n! leaves are never
+    # stored; they come in the same order as the words.
+    words = map(bytes, itertools.permutations(range(1, n + 1)))
+    new = Permutation._from_word
+    groups: dict[int, list[Permutation]] = {}
+    for p, bits in states:
+        for q, add in steps[p]:
+            key = bits | add | last[q]
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [new(next(words))]
+            else:
+                group.append(new(next(words)))
+    return groups
 
 
 class OrientationPartition:
@@ -332,38 +413,74 @@ class OrientationPartition:
         return data
 
 
-def _legal_moves(o: Orientation, kind: str, a: int | None, b: int | None, comp_id):
-    src = o.sources()
-    snk = o.sinks()
-    if kind == "toric":
-        for v in sorted(set(src) | set(snk)):
-            yield o.flip(v)
-        return
-    if kind in ("double_flip", "local_double_flip"):
-        for u in src:
-            for v in snk:
-                if u == v or o.graph.has_edge(u, v):
+def _move_classes(
+    graph: Graph, kind: str, a: int | None, b: int | None, acyclic: list[int]
+) -> list[tuple[int, ...]]:
+    """Close the sorted acyclic direction vectors under the chosen move kind.
+
+    Returns the classes as sorted tuples of direction bits, in order of
+    their least member.  Moves are read off source/sink masks: flipping a
+    vertex XORs its incident-edge mask.
+    """
+    n = graph.n
+    adj = graph._adj
+    inc, low, high = _incidence(graph)
+    full = (1 << n) - 1
+    allowed = [full] * n   # where a double flip may take its sink, per source
+    if kind == "local_double_flip":
+        for mask in _component_masks(adj, full):
+            for v in _vertices(mask):
+                allowed[v - 1] = mask
+    members_of = set(acyclic)
+    assigned: set[int] = set()
+    classes: list[tuple[int, ...]] = []
+    for start in acyclic:
+        if start in assigned:
+            continue
+        members = {start}
+        queue = [start]
+        for cur in queue:
+            src, snk = _ends(cur, inc, low, high)
+            moves = []
+            if kind == "toric":
+                moves = [cur ^ inc[v - 1] for v in _vertices(src | snk)]
+            elif kind == "ab_flip":
+                moves = _ab_moves(cur, src, snk, a, b, adj, inc)
+            else:
+                for u in _vertices(src):
+                    flipped = cur ^ inc[u - 1]
+                    sinks = snk & ~adj[u - 1] & ~(1 << (u - 1)) & allowed[u - 1]
+                    moves.extend(flipped ^ inc[v - 1] for v in _vertices(sinks))
+            for nxt in moves:
+                assert nxt in members_of, "flip move broke acyclicity"
+                if nxt not in members:
+                    members.add(nxt)
+                    queue.append(nxt)
+        assigned |= members
+        classes.append(tuple(sorted(members)))
+    return classes
+
+
+def _ab_moves(cur: int, src: int, snk: int, a: int, b: int, adj, inc) -> list[int]:
+    """Every (a, b)-flip of `cur`: a sources and b sinks, pairwise distinct
+    and non-adjacent, flipped at once (also b sources and a sinks)."""
+    moves = []
+    sources = _vertices(src)
+    sinks = _vertices(snk)
+    for na, nb in [(a, b)] if a == b else [(a, b), (b, a)]:
+        for us in itertools.combinations(sources, na):
+            for vs in itertools.combinations(sinks, nb):
+                chosen = 0
+                bits = cur
+                for w in us + vs:
+                    chosen |= 1 << (w - 1)
+                    bits ^= inc[w - 1]
+                if chosen.bit_count() != na + nb:
                     continue
-                if kind == "local_double_flip" and comp_id[u - 1] != comp_id[v - 1]:
+                if any(adj[w - 1] & chosen for w in us + vs):
                     continue
-                yield o.double_flip(u, v)
-        return
-    if kind == "ab_flip":
-        shapes = [(a, b)] if a == b else [(a, b), (b, a)]
-        for na, nb in shapes:
-            for us in itertools.combinations(src, na):
-                us_set = set(us)
-                for vs in itertools.combinations(snk, nb):
-                    if us_set & set(vs):
-                        continue
-                    chosen = us + vs
-                    if any(
-                        o.graph.has_edge(x, y) for x, y in itertools.combinations(chosen, 2)
-                    ):
-                        continue
-                    yield o.ab_flip(us, vs)
-        return
-    raise InvalidArgumentError(f"unknown partition kind {kind!r}")
+                moves.append(bits)
+    return moves
 
 
 def partition_by_moves(
@@ -380,35 +497,15 @@ def partition_by_moves(
     if kind == "ab_flip":
         if a is None or b is None or a < 0 or b < 0:
             raise InvalidArgumentError("ab_flip needs non-negative sizes a and b")
-    comp_id = None
-    if kind == "local_double_flip":
-        comp_id = [0] * graph.n
-        for i, mask in enumerate(_component_masks(graph._adj, (1 << graph.n) - 1)):
-            while mask:
-                bit = mask & -mask
-                mask &= mask - 1
-                comp_id[bit.bit_length() - 1] = i
-    orientations = enumerate_acyclic(graph, edge_cap=edge_cap)
-    assigned: dict[int, int] = {}
-    classes: list[tuple[Orientation, ...]] = []
-    for start in orientations:
-        if start.bits in assigned:
-            continue
-        label = len(classes)
-        members = {start.bits: start}
-        assigned[start.bits] = label
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in _legal_moves(cur, kind, a, b, comp_id):
-                assert nxt.is_acyclic(), "flip move broke acyclicity"
-                if nxt.bits not in members:
-                    members[nxt.bits] = nxt
-                    assigned[nxt.bits] = label
-                    queue.append(nxt)
-        classes.append(tuple(members[bits] for bits in sorted(members)))
-    classes.sort(key=lambda cls: cls[0].bits)
-    return OrientationPartition(graph, kind, tuple(classes), a=a, b=b)
+    _check_edge_cap(graph, edge_cap)
+    classes = _move_classes(graph, kind, a, b, _acyclic_bits(graph))
+    return OrientationPartition(
+        graph,
+        kind,
+        tuple(tuple(Orientation(graph, bits) for bits in cls) for cls in classes),
+        a=a,
+        b=b,
+    )
 
 
 def linear_extensions(
@@ -438,6 +535,7 @@ def linear_extensions(
             place(depth + 1, used | bit)
 
     place(0, 0)
+    del place   # place refers to itself through its closure; break that cycle
     return frozenset(out)
 
 

@@ -13,6 +13,7 @@ count the theorems do not force.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,6 +28,7 @@ from .errors import InvalidArgumentError
 from .fscore import FSInstance, component_count, is_connected, iter_component_states
 from .graphs import (
     Graph,
+    StructureReport,
     _component_masks,
     _drop_vertex,
     _hamiltonian_paths,
@@ -43,13 +45,7 @@ from .iso import (
     is_theta0_graph,
     refined_form,
 )
-from .orientations import (
-    Orientation,
-    enumerate_acyclic,
-    linear_extensions,
-    linear_extensions_of_class,
-    partition_by_moves,
-)
+from .orientations import Orientation, _move_classes, _orders_by_orientation
 from .perms import Permutation
 from .tutte import tutte_eval
 
@@ -96,12 +92,15 @@ def path_fs_structure(
     error = _listing_error(y.n, config)
     if error is not None:
         return PathStructure(count, None, error)
-    orientations = enumerate_acyclic(comp)
-    if len(orientations) != count:
+    groups = _orders_by_orientation(comp)
+    if len(groups) != count:
         raise AssertionError(
-            f"orientation count {len(orientations)} disagrees with T(2,0) = {count}"
+            f"orientation count {len(groups)} disagrees with T(2,0) = {count}"
         )
-    classes = tuple((o, linear_extensions(o)) for o in orientations)
+    # Popping frees each group's list as soon as its frozenset exists.
+    classes = tuple(
+        (Orientation(comp, bits), frozenset(groups.pop(bits))) for bits in sorted(groups)
+    )
     return PathStructure(count, classes)
 
 
@@ -145,13 +144,20 @@ def cycle_fs_structure(
     error = _listing_error(y.n, config)
     if error is not None:
         return CycleStructure(count, nu, toric_count, None, error)
-    partition = partition_by_moves(comp, "double_flip")
-    if partition.class_count != count:
+    groups = _orders_by_orientation(comp)
+    members = _move_classes(comp, "double_flip", None, None, sorted(groups))
+    if len(members) != count:
         raise AssertionError(
-            f"double-flip classes ({partition.class_count}) disagree with "
+            f"double-flip classes ({len(members)}) disagree with "
             f"T(1,0) * nu = {toric_count} * {nu}"
         )
-    classes = tuple((cls, linear_extensions_of_class(cls)) for cls in partition.classes)
+    classes = tuple(
+        (
+            tuple(Orientation(comp, bits) for bits in cls),
+            frozenset(itertools.chain.from_iterable(groups.pop(bits) for bits in cls)),
+        )
+        for cls in members
+    )
     return CycleStructure(count, nu, toric_count, classes)
 
 
@@ -160,8 +166,14 @@ def cycle_is_connected(y: Graph) -> bool:
     tree sizes are setwise coprime."""
     if y.n < 3:
         raise InvalidArgumentError(f"the cycle case needs n >= 3, got {y.n}")
+    return _cycle_rule(y)[0]
+
+
+def _cycle_rule(y: Graph) -> tuple[bool, StructureReport]:
+    """The cycle-case verdict for partner y, with the structure report of
+    its complement that decides it."""
     report = structure_report(y.complement())
-    return report.is_forest and report.gcd_of_component_sizes == 1
+    return report.is_forest and report.gcd_of_component_sizes == 1, report
 
 
 # -- star case -----------------------------------------------------------------
@@ -348,8 +360,7 @@ def _family_verdict(a: Graph, b: Graph, side: str) -> ConnectivityVerdict | None
             {"side": side, "complement_edges": missing},
         )
     if n >= 3 and is_cycle_graph(a):
-        report = structure_report(b.complement())
-        ok = report.is_forest and report.gcd_of_component_sizes == 1
+        ok, report = _cycle_rule(b)
         return ConnectivityVerdict(
             "connected" if ok else "disconnected",
             "cycle-complement-forest",

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import time
 
+import pytest
+
 from conftest import PAW, PETERSEN
-from fsgraph.cli import _FAMILY_PARAM_COUNT, main, read_graph
+from fsgraph.cli import _FAMILY_PARAM_COUNT, _build_parser, main, read_graph
 from fsgraph.graphio import graph_to_json_dict, to_graph6
-from fsgraph import build_named, disjoint_union
+from fsgraph import Orientation, build_named, disjoint_union
 from fsgraph.graphs import NAMED_FAMILIES
 
 
@@ -252,3 +256,69 @@ def test_oracle_sweep_refuses_past_eight_vertices(capsys):
 
 def test_family_parameter_table_covers_exactly_the_named_families():
     assert set(_FAMILY_PARAM_COUNT) == set(NAMED_FAMILIES)
+
+
+def test_acyc_enumerate_counts_before_listing(capsys):
+    # 2^20 - 2 acyclic orientations: far past the listing cap, so only counted.
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "acyc", "enumerate", "--g", "family:cycle:20")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == (
+        '{"count": 1048574, "orientations": null, "orientations_error": '
+        '"1048574 orientations exceed the listing cap of 10000"}\n'
+    )
+    c4 = build_named("cycle", 4)
+    code, out, _ = run_cli(capsys, "acyc", "enumerate", "--g", "family:cycle:4", "--listing-cap", "14")
+    assert json.loads(out) == {
+        "count": 14,
+        "orientations": [
+            str(o) for bits in range(16) if (o := Orientation(c4, bits)).is_acyclic()
+        ],
+    }
+    code, _, err = run_cli(capsys, "acyc", "enumerate", "--g", "family:complete:8")
+    assert code == 3 and "28 edges exceeds the enumeration cap of 24" in err
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_answers_like_a_fresh_one():
+    k5 = json.dumps(graph_to_json_dict(build_named("complete", 5)))
+    calls = [
+        ["acyc", "enumerate", "--g", "family:path:3", "--listing-cap", "3"],
+        ["acyc", "enumerate", "--g", "family:cycle:4"],
+        ["tutte", "eval", "--g", "family:cycle:6", "--x", "1", "--y", "0"],
+        ["decide", "--x", "family:lollipop:3,2", "--y", k5],
+        ["path", "structure", "--y", "family:complete:3", "--list"],
+        ["cycle", "structure", "--y", "family:path:4", "--format", "dot"],
+        ["acyc", "partition", "--g", "family:path:3", "--kind", "ab_flip", "--a", "1", "--b", "1"],
+        ["fs", "connected", "--x", "family:complete:6", "--y", "family:complete:6", "--state-cap", "10"],
+        ["fs", "connected", "--x", "family:cycle:4", "--y", "family:complete:4"],
+        ["decide", "--x", "family:path:3", "--y", "family:path:4"],
+        ["acyc", "phi"],
+        ["star", "structure", "--y", "family:cycle:5"],
+    ]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(_run_captured(argv))
+    assert _build_parser() is _build_parser()
+    assert [_run_captured(argv) for argv in calls] == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 0, 3, 0, 2, 2, 0]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["acyc", "enumerate", "--help"]])
+def test_help_goes_to_the_current_stdout(argv):
+    main(["tutte", "eval", "--g", "family:path:3", "--x", "2", "--y", "0"])   # parser built
+    for _ in range(2):
+        code, out, _ = _run_captured(argv)
+        assert code == 0
+        assert out.startswith("usage: fsgraph")

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -24,6 +25,7 @@ from fsgraph import (
     tutte_eval,
 )
 from fsgraph.iso import enumerate_nonisomorphic
+from fsgraph.orientations import _move_classes
 
 
 # -- orientations from permutations ---------------------------------------------
@@ -134,7 +136,7 @@ def test_extension_listing_respects_vertex_cap():
 
 
 def test_enumerate_big_edge_route():
-    # 7 vertices, 17 edges: exercises the word-image enumeration route.
+    # 7 vertices, 17 edges: more edges than a 2^m filter can afford.
     g = build_named("complete", 7)
     pruned = Graph(7, list(g.edges)[:17])
     orientations = enumerate_acyclic(pruned)
@@ -463,3 +465,157 @@ def test_orientation_string_round_trip():
 def test_orientation_string_format():
     o = Orientation(build_named("path", 3), 0b10)
     assert str(o) == "1>2,3>2"
+
+
+# -- mask-based enumerator and closure against per-orientation references --------------
+
+
+def _filtered_acyclic(g):
+    """Reference enumerator: every direction vector, kept when acyclic."""
+    return [bits for bits in range(1 << g.edge_count) if Orientation(g, bits).is_acyclic()]
+
+
+def _seeded_graphs(seed, sizes):
+    """One random labelled graph per (n, m) in sizes."""
+    rng = random.Random(seed)
+    return [
+        Graph(n, rng.sample(list(itertools.combinations(range(1, n + 1), 2)), m))
+        for n, m in sizes
+    ]
+
+
+def test_enumerate_matches_exhaustive_filter():
+    graphs = [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)]
+    graphs += _seeded_graphs(
+        41, [(7, 12), (7, 16), (8, 14), (8, 16), (9, 11), (9, 16), (10, 13), (10, 16)]
+    )
+    for g in graphs:
+        assert [o.bits for o in enumerate_acyclic(g)] == _filtered_acyclic(g), g.edges
+
+
+def _degree_sources_sinks(o):
+    indeg = [0] * o.graph.n
+    outdeg = [0] * o.graph.n
+    for tail, head in o.directed_edges():
+        outdeg[tail - 1] += 1
+        indeg[head - 1] += 1
+    n = o.graph.n
+    return (
+        tuple(v + 1 for v in range(n) if indeg[v] == 0),
+        tuple(v + 1 for v in range(n) if outdeg[v] == 0),
+    )
+
+
+def test_sources_and_sinks_match_degrees():
+    rng = random.Random(43)
+    sizes = [(n, m) for n in range(2, 9) for m in range(0, min(14, n * (n - 1) // 2) + 1, 3)]
+    for g in _seeded_graphs(42, sizes):
+        for _ in range(10):
+            o = Orientation(g, rng.randrange(1 << g.edge_count))   # cyclic ones too
+            assert (o.sources(), o.sinks()) == _degree_sources_sinks(o)
+
+
+def _edge_flip(o, vertices):
+    """Reverse every edge at the given 1-indexed vertices, edge by edge."""
+    bits = o.bits
+    for t, (a, b) in enumerate(o.graph.edges):
+        for w in vertices:
+            if w in (a, b):
+                bits ^= 1 << t
+    return bits
+
+
+def _reference_moves(o, kind, a, b, comp_id):
+    """The moves of one orientation, from its directed edges alone."""
+    g = o.graph
+    src, snk = _degree_sources_sinks(o)
+    if kind == "toric":
+        return [_edge_flip(o, (v,)) for v in sorted(set(src) | set(snk))]
+    if kind in ("double_flip", "local_double_flip"):
+        return [
+            _edge_flip(o, (u, v))
+            for u in src
+            for v in snk
+            if u != v
+            and not g.has_edge(u, v)
+            and (kind == "double_flip" or comp_id[u] == comp_id[v])
+        ]
+    moves = []
+    for na, nb in [(a, b)] if a == b else [(a, b), (b, a)]:
+        for us in itertools.combinations(src, na):
+            for vs in itertools.combinations(snk, nb):
+                chosen = us + vs
+                if len(set(chosen)) < len(chosen):
+                    continue
+                if any(g.has_edge(x, y) for x, y in itertools.combinations(chosen, 2)):
+                    continue
+                moves.append(_edge_flip(o, chosen))
+    return moves
+
+
+def _reference_partition(g, kind, a=None, b=None):
+    """Breadth-first closure one Orientation at a time, over the filtered
+    acyclic set; classes as sorted bit tuples in order of least member."""
+    comp_id = {}
+    for i, comp in enumerate(structure_report(g).components):
+        for v in comp:
+            comp_id[v] = i
+    acyclic = _filtered_acyclic(g)
+    assigned = set()
+    classes = []
+    for start in acyclic:
+        if start in assigned:
+            continue
+        members = {start}
+        queue = deque([start])
+        while queue:
+            cur = Orientation(g, queue.popleft())
+            for nxt in _reference_moves(cur, kind, a, b, comp_id):
+                assert Orientation(g, nxt).is_acyclic()
+                if nxt not in members:
+                    members.add(nxt)
+                    queue.append(nxt)
+        assigned |= members
+        classes.append(tuple(sorted(members)))
+    return sorted(classes)
+
+
+def test_partition_matches_orientation_closure():
+    graphs = [g for n in range(1, 6) for g in enumerate_nonisomorphic(n)]
+    graphs += _seeded_graphs(44, [(6, 6), (6, 9), (6, 11), (7, 7), (7, 10), (8, 8), (8, 11)])
+    for g in graphs:
+        cases = [(kind, None, None) for kind in ("toric", "double_flip", "local_double_flip")]
+        cases += [("ab_flip", a, b) for a, b in ((0, 0), (0, 1), (1, 1), (2, 1), (2, 2))]
+        for kind, a, b in cases:
+            got = [tuple(o.bits for o in cls) for cls in partition_by_moves(g, kind, a, b).classes]
+            assert got == _reference_partition(g, kind, a, b), (g.edges, kind, a, b)
+
+
+def test_move_closure_asserts_that_moves_stay_in_the_acyclic_set():
+    # Handing the closure an incomplete set makes a legal flip land outside it.
+    path = build_named("path", 3)
+    with pytest.raises(AssertionError, match="acyclicity"):
+        _move_classes(path, "toric", None, None, [0])
+
+
+def test_listings_leave_no_reference_cycles():
+    # A cycle would keep its intermediate lists alive until the next collection.
+    from fsgraph.theorems import cycle_fs_structure, path_fs_structure
+
+    y = Graph(6, [(1, 2), (3, 4), (2, 5)])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        kept = [
+            linear_extensions(Orientation(y, 0)),
+            enumerate_acyclic(y),
+            partition_by_moves(y, "double_flip"),
+            path_fs_structure(y, include_classes=True),
+            cycle_fs_structure(y, include_classes=True),
+        ]
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert kept

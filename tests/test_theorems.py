@@ -38,6 +38,12 @@ from fsgraph.graphs import (
     iter_hamiltonian_paths,
 )
 from fsgraph.iso import enumerate_nonisomorphic, refined_form
+from fsgraph.orientations import (
+    enumerate_acyclic,
+    linear_extensions,
+    linear_extensions_of_class,
+    partition_by_moves,
+)
 from fsgraph.theorems import HereditaryResult, _path_minor
 
 # A 5-vertex graph with a Hamiltonian path for which FS(X, Y) is connected
@@ -70,6 +76,32 @@ def test_path_classes_partition_all_words():
         assert len(total) == math.factorial(n)
         assert len(set(total)) == len(total)
         assert len(result.classes) == result.component_count
+
+
+def _listing_partners():
+    """Every partner with n <= 6, and seeded n = 7 partners whose
+    complements have 6, 11 and 18 edges."""
+    partners = [y for n in range(1, 7) for y in enumerate_nonisomorphic(n)]
+    rng = random.Random(47)
+    pairs = list(itertools.combinations(range(1, 8), 2))
+    for m in (6, 11, 18):
+        for _ in range(3):
+            partners.append(Graph(7, rng.sample(pairs, m)).complement())
+    return partners
+
+
+def test_listings_match_orientations_and_their_extensions():
+    for y in _listing_partners():
+        comp = y.complement()
+        path = path_fs_structure(y, include_classes=True)
+        assert path.classes == tuple((o, linear_extensions(o)) for o in enumerate_acyclic(comp))
+        if y.n < 3:
+            continue
+        cycle = cycle_fs_structure(y, include_classes=True)
+        double = partition_by_moves(comp, "double_flip")
+        assert cycle.classes == tuple(
+            (cls, linear_extensions_of_class(cls)) for cls in double.classes
+        )
 
 
 def test_path_count_matches_brute_force_small():
