@@ -109,7 +109,18 @@ def _cmd_fs_components(args, config: RunConfig):
     inst = FSInstance(read_graph(args.x), read_graph(args.y))
     if args.format == "dot":
         return fs_to_dot(inst, config)
-    return components(inst, config).to_json_dict(inst.n)
+    report = components(inst, config)
+    if report.component_count <= config.listing_cap:
+        return report.to_json_dict(inst.n)
+    return {
+        "n": inst.n,
+        "component_count": report.component_count,
+        "sizes": list(report.sizes),
+        "representatives": None,
+        "representatives_error": (
+            f"{report.component_count} components exceed the listing cap of {config.listing_cap}"
+        ),
+    }
 
 
 def _cmd_fs_connected(args, config: RunConfig):

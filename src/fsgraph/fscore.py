@@ -2,18 +2,22 @@
 
 Vertices of FS(X, Y) are permutations; two are adjacent when they differ
 by swapping the entries across one edge of X whose two entries are
-adjacent in Y.  Components are discovered by breadth-first search over
-packed byte states with a visited hash set; nothing materializes the
-edge set.  Seeding the sweep in lexicographic order makes every report
-deterministic, and the representative of a component is automatically
-its lexicographically least permutation.
+adjacent in Y.  A state is the permutation word packed into bytes, so
+swapping the entries at two positions exchanges two byte values: each
+ordered Y edge (a, b) owns a ``bytes.translate`` table exchanging a and
+b, and one lookup in the flat table list both tests Y-adjacency and
+yields the swap, one C call per friendly swap.  Components are
+discovered by breadth-first search with a single visited hash set for
+the whole sweep; nothing materializes the edge set.  Seeding the sweep
+in lexicographic order makes every report deterministic, and the
+representative of a component is automatically its lexicographically
+least permutation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -25,7 +29,7 @@ from .perms import Permutation
 class FSInstance:
     """The pair (X, Y) defining FS(X, Y); X supplies positions, Y labels."""
 
-    __slots__ = ("x", "y", "n", "_xedges", "_yadj")
+    __slots__ = ("x", "y", "n", "_xedges", "_swaps")
 
     def __init__(self, x: Graph, y: Graph):
         if x.n != y.n:
@@ -36,7 +40,7 @@ class FSInstance:
         self.y = y
         self.n = x.n
         self._xedges = x._edges          # 0-indexed position pairs
-        self._yadj = y._adj              # 0-indexed label adjacency masks
+        self._swaps = None               # swap tables, built on first search
 
     def __repr__(self) -> str:
         return f"FSInstance(x={self.x!r}, y={self.y!r})"
@@ -75,16 +79,30 @@ def _check_statespace(n: int, config: RunConfig) -> int:
     return total
 
 
-def _expand(state: bytes, xedges, yadj) -> list[bytes]:
+def _swap_tables(inst: FSInstance) -> list[bytes | None]:
+    """Entry a * n + b is the 256-byte table exchanging byte values a and b
+    when a and b are adjacent in Y, else None."""
+    swaps = inst._swaps
+    if swaps is None:
+        n = inst.n
+        swaps = [None] * (n * n)
+        for a, b in inst.y._edges:
+            table = bytearray(range(256))
+            table[a] = b
+            table[b] = a
+            swaps[a * n + b] = swaps[b * n + a] = bytes(table)
+        inst._swaps = swaps
+    return swaps
+
+
+def _expand(inst: FSInstance, state: bytes) -> list[bytes]:
+    swaps = _swap_tables(inst)
+    n = inst.n
     out = []
-    for i, j in xedges:
-        a = state[i]
-        b = state[j]
-        if yadj[a] >> b & 1:
-            nxt = bytearray(state)
-            nxt[i] = b
-            nxt[j] = a
-            out.append(bytes(nxt))
+    for i, j in inst._xedges:
+        table = swaps[state[i] * n + state[j]]
+        if table is not None:
+            out.append(state.translate(table))
     return out
 
 
@@ -94,31 +112,30 @@ def friendly_neighbors(inst: FSInstance, sigma: Permutation) -> list[Permutation
         raise InvalidArgumentError(
             f"permutation length {sigma.n} does not match n = {inst.n}"
         )
-    return [_perm_of(s) for s in _expand(_state_of(sigma), inst._xedges, inst._yadj)]
+    return [_perm_of(s) for s in _expand(inst, _state_of(sigma))]
 
 
-def _bfs_from(inst: FSInstance, start: bytes, cap: int) -> set[bytes]:
-    xedges, yadj = inst._xedges, inst._yadj
-    visited = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
+def _bfs_from(inst: FSInstance, start: bytes, seen: set[bytes], cap: int) -> list[bytes]:
+    """The component of start in BFS order, adding its states to seen; start
+    must not be in seen yet."""
+    xedges = inst._xedges
+    swaps = _swap_tables(inst)
+    n = inst.n
+    seen.add(start)
+    comp = [start]
+    for cur in comp:        # the list grows while it is walked: the BFS queue
         for i, j in xedges:
-            a = cur[i]
-            b = cur[j]
-            if yadj[a] >> b & 1:
-                nxt = bytearray(cur)
-                nxt[i] = b
-                nxt[j] = a
-                s = bytes(nxt)
-                if s not in visited:
-                    if len(visited) >= cap:
+            table = swaps[cur[i] * n + cur[j]]
+            if table is not None:
+                s = cur.translate(table)
+                if s not in seen:
+                    if len(comp) >= cap:
                         raise ResourceLimitError(
                             f"component search exceeded the cap of {cap} states"
                         )
-                    visited.add(s)
-                    queue.append(s)
-    return visited
+                    seen.add(s)
+                    comp.append(s)
+    return comp
 
 
 def component_of(
@@ -129,38 +146,35 @@ def component_of(
         raise InvalidArgumentError(
             f"permutation length {sigma.n} does not match n = {inst.n}"
         )
-    states = _bfs_from(inst, _state_of(sigma), config.state_cap)
+    states = _bfs_from(inst, _state_of(sigma), set(), config.state_cap)
     return frozenset(_perm_of(s) for s in states)
 
 
 def iter_component_states(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG):
-    """Yield the component state sets in lexicographic order of their least
-    member, covering all n! permutations."""
+    """Yield (least state, component states) pairs in lexicographic order of
+    the least state, covering all n! permutations.  The states of each
+    component come as a list in BFS order."""
     _check_statespace(inst.n, config)
     seen: set[bytes] = set()
+    cap = config.state_cap
     for word in itertools.permutations(range(inst.n)):
         start = bytes(word)
-        if start in seen:
-            continue
-        comp = _bfs_from(inst, start, config.state_cap)
-        seen |= comp
-        yield start, comp
+        if start not in seen:
+            yield start, _bfs_from(inst, start, seen, cap)
 
 
 def components(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> ComponentReport:
     """Exhaustive component sweep of all n! vertices."""
     sizes = []
     reps = []
-    explored = 0
     for start, comp in iter_component_states(inst, config):
         sizes.append(len(comp))
         reps.append(_perm_of(start))
-        explored += len(comp)
     return ComponentReport(
         component_count=len(sizes),
         sizes=tuple(sorted(sizes)),
         representatives=tuple(reps),
-        explored_vertices=explored,
+        explored_vertices=sum(sizes),
     )
 
 
@@ -168,7 +182,7 @@ def is_connected(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> bool:
     """Single BFS from the identity; connected iff it reaches all n! states."""
     total = _check_statespace(inst.n, config)
     start = bytes(range(inst.n))
-    return len(_bfs_from(inst, start, config.state_cap)) == total
+    return len(_bfs_from(inst, start, set(), config.state_cap)) == total
 
 
 def component_count(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> int:
@@ -185,8 +199,8 @@ def inverse_isomorphism_check(inst: FSInstance, config: RunConfig = DEFAULT_CONF
     for word in itertools.permutations(range(inst.n)):
         state = bytes(word)
         image = _state_of(_perm_of(state).inverse())
-        neighbors = _expand(state, inst._xedges, inst._yadj)
-        image_neighbors = set(_expand(image, flipped._xedges, flipped._yadj))
+        neighbors = _expand(inst, state)
+        image_neighbors = set(_expand(flipped, image))
         forward_half_edges += len(neighbors)
         backward_half_edges += len(image_neighbors)
         for nb in neighbors:
@@ -319,7 +333,7 @@ def fs_to_dot(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> str:
     for word in itertools.permutations(range(inst.n)):
         state = bytes(word)
         me = _perm_of(state)
-        for nb in _expand(state, inst._xedges, inst._yadj):
+        for nb in _expand(inst, state):
             if state < nb:
                 lines.append(f'  "{me}" -- "{_perm_of(nb)}";')
     lines.append("}")

@@ -8,8 +8,8 @@ enough for the hereditary memo keys in :mod:`fsgraph.theorems`.
 ``canonical_form`` takes the minimum over every class-respecting
 relabeling: exact, but a product of class-size factorials (n! on
 vertex-transitive graphs), so it refuses past ``CANONICAL_ORDER_CAP``;
-enumeration up to n = 8, ``is_isomorphic`` and the theta recognizer use
-it.  The other recognizers read structure directly in O(n + m).
+enumeration up to n = 8 and ``is_isomorphic`` use it.  The family
+recognizers read structure directly in O(n + m).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from functools import lru_cache
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .graphs import Graph, build_named
+from .graphs import Graph, _component_masks
 
 CanonicalForm = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -184,20 +184,27 @@ def is_dynkin_graph(g: Graph) -> bool:
     return sum(1 for v in range(n) if nbrs >> v & 1 and degs[v] == 1) >= 2
 
 
-@lru_cache(maxsize=None)
-def _theta0_form() -> CanonicalForm:
-    return canonical_form(build_named("theta0"))
-
-
 def is_theta0_graph(g: Graph) -> bool:
+    """Isomorphic to theta0?  A biconnected graph with degrees 2, 2, 2, 2,
+    2, 3, 3 is a theta graph: three internally disjoint paths joining the
+    two degree-3 hubs, with five interior vertices among them.  Hubs that
+    are not adjacent and share exactly one neighbour make the interiors
+    (1, 2, 2)."""
     if g.n != 7 or g.edge_count != 8:
         return False
-    return canonical_form(g) == _theta0_form()
+    degs = g.degrees()
+    if sorted(degs) != [2] * 5 + [3] * 2:
+        return False
+    # Biconnected: no vertex deletion disconnects what is left, which with
+    # minimum degree 2 also rules out a disconnected g.
+    adj = g._adj
+    if any(len(_component_masks(adj, 0b1111111 & ~(1 << v))) != 1 for v in range(7)):
+        return False
+    a, b = (v for v in range(7) if degs[v] == 3)
+    return not adj[a] >> b & 1 and (adj[a] & adj[b]).bit_count() == 1
 
 
 def _cheap_components(g: Graph) -> list[int]:
-    from .graphs import _component_masks
-
     return _component_masks(g._adj, (1 << g.n) - 1)
 
 

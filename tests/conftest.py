@@ -40,6 +40,13 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph(n, edges)
 
 
+def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertex labels permuted at random."""
+    labels = list(range(1, g.n + 1))
+    rng.shuffle(labels)
+    return g.relabel(dict(zip(range(1, g.n + 1), labels)))
+
+
 def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     """Random graph conditioned on connectivity (resamples until connected)."""
     from fsgraph import structure_report

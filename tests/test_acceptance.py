@@ -52,9 +52,6 @@ from fsgraph.theorems import (
 
 pytestmark = pytest.mark.acceptance
 
-RANDOM_N7_COUNT = 500
-
-
 def _verdict(label: str, body):
     start = time.time()
     try:
@@ -65,11 +62,6 @@ def _verdict(label: str, body):
     print(f"acceptance [{label}]: PASS — {summary} ({time.time() - start:.1f}s)")
 
 
-def _random_n7_graphs(seed: int):
-    rng = random.Random(seed)
-    return [random_graph(rng, 7, 0.5) for _ in range(RANDOM_N7_COUNT)]
-
-
 # -- 1: path positions ----------------------------------------------------------
 
 
@@ -77,7 +69,7 @@ def test_acceptance_path_counts():
     def body():
         start = time.time()
         checked = 0
-        for n in range(1, 7):
+        for n in range(1, 8):
             x = build_named("path", n)
             for y in enumerate_nonisomorphic(n):
                 brute = components(FSInstance(x, y)).component_count
@@ -88,12 +80,6 @@ def test_acceptance_path_counts():
                 )
                 assert brute == path_fs_structure(y).component_count
                 checked += 1
-        x7 = build_named("path", 7)
-        for y in _random_n7_graphs(701):
-            brute = components(FSInstance(x7, y)).component_count
-            comp = y.complement()
-            assert brute == len(enumerate_acyclic(comp)) == tutte_eval(comp, 2, 0)
-            checked += 1
         elapsed = time.time() - start
         assert elapsed < 600.0
         return f"{checked} instances, three routes equal"
@@ -107,7 +93,7 @@ def test_acceptance_path_counts():
 def test_acceptance_cycle_counts():
     def body():
         checked = 0
-        for n in range(3, 7):
+        for n in range(3, 8):
             x = build_named("cycle", n)
             for y in enumerate_nonisomorphic(n):
                 brute = components(FSInstance(x, y)).component_count
@@ -116,14 +102,6 @@ def test_acceptance_cycle_counts():
                 assert brute == tutte_eval(comp, 1, 0) * nu, (n, y.edges)
                 assert brute == partition_by_moves(comp, "double_flip").class_count
                 checked += 1
-        x7 = build_named("cycle", 7)
-        for y in _random_n7_graphs(702):
-            brute = components(FSInstance(x7, y)).component_count
-            comp = y.complement()
-            nu = structure_report(comp).gcd_of_component_sizes
-            assert brute == tutte_eval(comp, 1, 0) * nu
-            assert brute == partition_by_moves(comp, "double_flip").class_count
-            checked += 1
         return f"{checked} instances, both routes equal"
 
     _verdict("cycle components = T(1,0) * gcd = double-flip classes", body)

@@ -69,6 +69,31 @@ def test_fs_components_command(capsys):
     assert len(payload["representatives"]) == 6
 
 
+def test_fs_components_honours_the_listing_cap(capsys):
+    argv = ("fs", "components", "--x", "family:star:5", "--y", "family:cycle:5")
+    listed = (
+        '{"n": 5, "component_count": 6, "sizes": [20, 20, 20, 20, 20, 20], '
+        '"representatives": ["12345", "12435", "13245", "13425", "14235", "14325"]}\n'
+    )
+    for cap in ("6", "7"):
+        code, out, _ = run_cli(capsys, *argv, "--listing-cap", cap)
+        assert code == 0 and out == listed
+    code, out, _ = run_cli(capsys, *argv, "--listing-cap", "5")
+    assert code == 0
+    assert out == (
+        '{"n": 5, "component_count": 6, "sizes": [20, 20, 20, 20, 20, 20], '
+        '"representatives": null, '
+        '"representatives_error": "6 components exceed the listing cap of 5"}\n'
+    )
+    code, out, _ = run_cli(
+        capsys, "fs", "components", "--x", "family:edgeless:8", "--y", "family:edgeless:8"
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["component_count"] == 40320
+    assert payload["representatives"] is None
+    assert payload["representatives_error"] == "40320 components exceed the listing cap of 10000"
+
+
 def test_fs_connected_command(capsys):
     code, out, _ = run_cli(
         capsys, "fs", "connected", "--x", "family:path:4", "--y", "family:path:4"

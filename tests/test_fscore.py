@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import time
+from collections import deque
 
 import pytest
 
@@ -9,8 +11,10 @@ from conftest import (
     SPIDER_COMPLEMENT_5,
     random_connected_graph,
     random_graph,
+    shuffled_copy,
 )
 from fsgraph import (
+    ComponentReport,
     FSInstance,
     Graph,
     InvalidArgumentError,
@@ -29,6 +33,7 @@ from fsgraph import (
     structure_report,
 )
 from fsgraph.fscore import fs_to_dot
+from fsgraph.iso import enumerate_nonisomorphic
 
 
 # -- adjacency -------------------------------------------------------------------
@@ -249,6 +254,117 @@ def test_forest_complement_components_have_reflection_symmetry():
             assert any(
                 frozenset(p.compose(rho) for p in comp) == comp for rho in reflections
             )
+
+
+# -- differential checks against the deque/bytearray search ---------------------------
+
+
+def _reference_expand(x: Graph, y: Graph, state: bytes) -> list[bytes]:
+    out = []
+    for i, j in x._edges:
+        a, b = state[i], state[j]
+        if y._adj[a] >> b & 1:
+            nxt = bytearray(state)
+            nxt[i] = b
+            nxt[j] = a
+            out.append(bytes(nxt))
+    return out
+
+
+def _reference_bfs(x: Graph, y: Graph, start: bytes) -> set[bytes]:
+    visited = {start}
+    queue = deque([start])
+    while queue:
+        for nxt in _reference_expand(x, y, queue.popleft()):
+            if nxt not in visited:
+                visited.add(nxt)
+                queue.append(nxt)
+    return visited
+
+
+def _reference_components(x: Graph, y: Graph) -> ComponentReport:
+    """The sweep with a deque queue, bytearray swaps, a Y-adjacency mask
+    test and a visited set per component."""
+    seen: set[bytes] = set()
+    sizes, reps = [], []
+    for word in itertools.permutations(range(x.n)):
+        start = bytes(word)
+        if start in seen:
+            continue
+        comp = _reference_bfs(x, y, start)
+        seen |= comp
+        sizes.append(len(comp))
+        reps.append(Permutation([v + 1 for v in start]))
+    return ComponentReport(
+        component_count=len(sizes),
+        sizes=tuple(sorted(sizes)),
+        representatives=tuple(reps),
+        explored_vertices=sum(sizes),
+    )
+
+
+def _assert_matches_reference(x: Graph, y: Graph, rng: random.Random) -> None:
+    inst = FSInstance(x, y)
+    report = components(inst)
+    assert report == _reference_components(x, y), (x, y)
+    assert is_connected(inst) == (report.component_count == 1)
+    word = list(range(1, x.n + 1))
+    rng.shuffle(word)
+    sigma = Permutation(word)
+    state = bytes(v - 1 for v in word)
+    assert friendly_neighbors(inst, sigma) == [
+        Permutation([v + 1 for v in s]) for s in _reference_expand(x, y, state)
+    ]
+    assert component_of(inst, sigma) == frozenset(
+        Permutation([v + 1 for v in s]) for s in _reference_bfs(x, y, state)
+    )
+
+
+def test_search_matches_reference_on_all_small_class_pairs():
+    rng = random.Random(11)
+    for n in range(1, 6):
+        classes = enumerate_nonisomorphic(n)
+        for x in classes:
+            for y in classes:
+                _assert_matches_reference(x, y, rng)
+
+
+def test_search_matches_reference_on_shuffled_labels():
+    rng = random.Random(12)
+    for n in range(2, 7):
+        for _ in range(15):
+            x = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+            y = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+            _assert_matches_reference(shuffled_copy(x, rng), shuffled_copy(y, rng), rng)
+            _assert_matches_reference(x, shuffled_copy(y, rng), rng)
+
+
+def test_search_matches_reference_on_seeded_pairs():
+    rng = random.Random(13)
+    for n, count in ((6, 12), (7, 6), (8, 2)):
+        for _ in range(count):
+            x = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+            y = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+            _assert_matches_reference(x, y, rng)
+
+
+def test_component_search_cap_is_exact():
+    # The component of the identity in FS(K_4, K_4) has exactly 24 states.
+    inst = FSInstance(build_named("complete", 4), build_named("complete", 4))
+    assert len(component_of(inst, Permutation.identity(4), RunConfig(state_cap=24))) == 24
+    with pytest.raises(ResourceLimitError, match="exceeded the cap of 23 states"):
+        component_of(inst, Permutation.identity(4), RunConfig(state_cap=23))
+
+
+def test_large_instance_is_refused_before_any_search():
+    start = time.perf_counter()
+    inst = FSInstance(build_named("complete", 40), build_named("cycle", 40))
+    with pytest.raises(ResourceLimitError, match="exceeds the configured cap"):
+        components(inst)
+    with pytest.raises(ResourceLimitError):
+        is_connected(inst)
+    assert inst._swaps is None      # no swap tables were built
+    assert time.perf_counter() - start < 0.1
 
 
 # -- margin matrices --------------------------------------------------------------------

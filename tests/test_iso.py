@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import PAW, PETERSEN, random_graph
+from conftest import PAW, PETERSEN, random_graph, shuffled_copy
 from fsgraph import Graph, ResourceLimitError, build_named, disjoint_union
 from fsgraph.iso import (
     NONISOMORPHIC_COUNTS,
@@ -19,13 +19,6 @@ from fsgraph.iso import (
     is_theta0_graph,
     refined_form,
 )
-
-
-def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
-    labels = list(range(1, g.n + 1))
-    rng.shuffle(labels)
-    mapping = dict(zip(range(1, g.n + 1), labels))
-    return g.relabel(mapping)
 
 
 def test_canonical_form_is_relabeling_invariant():
@@ -118,12 +111,14 @@ def test_recognizers_reject_lookalikes():
 
 
 def test_recognizers_match_isomorphism_exhaustively():
+    theta0 = build_named("theta0")
     for n in range(3, 8):
         lollipop = build_named("lollipop", k=n - 3, m=3) if n >= 4 else None
         dynkin = build_named("dynkin_d", n)
         for g in enumerate_nonisomorphic(n):
             assert is_lollipop_graph(g) == (lollipop is not None and is_isomorphic(g, lollipop))
             assert is_dynkin_graph(g) == is_isomorphic(g, dynkin)
+            assert is_theta0_graph(g) == (n == 7 and is_isomorphic(g, theta0))
 
 
 def test_small_coincidences():
@@ -141,6 +136,38 @@ def test_theta0_recognizer():
     assert is_theta0_graph(g)
     assert is_theta0_graph(shuffled_copy(g, rng))
     assert not is_theta0_graph(build_named("cycle", 7))
+
+
+def theta(*lengths: int) -> Graph:
+    """Paths with the given numbers of edges joining hub 1 to hub 2."""
+    edges, v = [], 2
+    for length in lengths:
+        prev = 1
+        for _ in range(length - 1):
+            v += 1
+            edges.append((prev, v))
+            prev = v
+        edges.append((prev, 2))
+    return Graph(v, edges)
+
+
+def test_theta0_recognizer_rejects_lookalikes():
+    # Seven vertices, eight edges and degrees 2, 2, 2, 2, 2, 3, 3 each:
+    # theta0 is theta(2, 3, 3); theta(2, 2, 4) has hubs with two common
+    # neighbours, theta(1, 3, 4) and theta(1, 2, 5) have adjacent hubs
+    # (the latter with exactly one common neighbour), two triangles
+    # joined by a 2-path have cut vertices, and K_4 minus an edge beside
+    # a triangle is disconnected.
+    rng = random.Random(10)
+    assert is_isomorphic(theta(2, 3, 3), build_named("theta0"))
+    dumbbell = Graph(7, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)])
+    split = Graph(7, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (5, 6), (6, 7), (5, 7)])
+    for g in (theta(2, 2, 4), theta(1, 3, 4), theta(1, 2, 5), dumbbell, split):
+        assert sorted(g.degrees()) == sorted(build_named("theta0").degrees())
+        assert not is_theta0_graph(g), g
+        assert not is_theta0_graph(shuffled_copy(g, rng)), g
+    for _ in range(10):
+        assert is_theta0_graph(shuffled_copy(theta(2, 3, 3), rng))
 
 
 def test_canonical_form_refuses_past_the_cap_up_front():
