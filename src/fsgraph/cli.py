@@ -5,8 +5,14 @@ Graphs are accepted in three forms wherever a graph flag appears:
 JSON object ``{"n": ..., "edges": [[i, j], ...]}``, a graph6 string, or
 ``@FILE`` to read either textual form from a file.  All results are
 printed as JSON on standard output; exit status is 0 on success, 2 on
-invalid input, 3 when a resource cap refuses the computation, and 1 when
-an oracle sweep finds a mismatch.
+invalid input (an unknown flag included), 3 when a resource cap refuses
+the computation, and 1 when an oracle sweep finds a mismatch.
+
+A command takes a cap flag only when the cap bounds its work:
+``--state-cap`` (explored FS states) goes with ``fs components``,
+``fs connected``, ``decide`` and ``oracle-sweep``, and ``--listing-cap``
+(entries listed) with ``fs components``, ``path structure``,
+``cycle structure`` and ``acyc enumerate``.
 """
 
 from __future__ import annotations
@@ -184,7 +190,7 @@ def _cmd_star_structure(args, config: RunConfig):
     y = read_graph(args.y)
     if args.format == "dot":
         return to_dot(y, name="partner")
-    result = star_fs_structure(y, config)
+    result = star_fs_structure(y)
     if result is None:
         return {"applicable": False}
     return {
@@ -249,17 +255,17 @@ def _cmd_oracle_sweep(args, config: RunConfig):
         n = y.n
         if family == "path":
             x = build_named("path", n)
-            expected = path_fs_structure(y, config=config).component_count
+            expected = path_fs_structure(y).component_count
         elif family == "cycle":
             if n < 3:
                 return
             x = build_named("cycle", n)
-            expected = cycle_fs_structure(y, config=config).component_count
+            expected = cycle_fs_structure(y).component_count
         else:
             if n < 3:
                 return
             x = build_named("star", n)
-            structure = star_fs_structure(y, config)
+            structure = star_fs_structure(y)
             if structure is None:
                 return
             expected = structure.component_count
@@ -281,7 +287,7 @@ def _cmd_oracle_sweep(args, config: RunConfig):
             for family in families:
                 check(family, y)
     if args.random:
-        rng = random.Random(args.seed if args.seed is not None else config.seed)
+        rng = random.Random(args.seed)
         n = args.random_n
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         for _ in range(args.random):
@@ -295,9 +301,12 @@ def _cmd_oracle_sweep(args, config: RunConfig):
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_state_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state-cap", type=int, default=None, help="max explored FS states")
-    p.add_argument("--listing-cap", type=int, default=None, help="max permutations listed")
+
+
+def _add_listing_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--listing-cap", type=int, default=None, help="max entries listed")
 
 
 @functools.cache
@@ -317,18 +326,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    _add_config_flags(p)
+    _add_state_cap(p)
+    _add_listing_cap(p)
     p.set_defaults(handler=_cmd_fs_components)
     p = fs_sub.add_parser("connected", help="single connectivity check")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_config_flags(p)
+    _add_state_cap(p)
     p.set_defaults(handler=_cmd_fs_connected)
     p = fs_sub.add_parser("neighbors", help="friendly-swap neighbors of one permutation")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--sigma", required=True)
-    _add_config_flags(p)
     p.set_defaults(handler=_cmd_fs_neighbors)
 
     path = sub.add_parser("path", help="path-position structure theorems")
@@ -337,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--list", action="store_true", help="also list the component classes")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    _add_config_flags(p)
+    _add_listing_cap(p)
     p.set_defaults(handler=_cmd_path_structure)
 
     cyc = sub.add_parser("cycle", help="cycle-position structure theorems")
@@ -346,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--list", action="store_true")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    _add_config_flags(p)
+    _add_listing_cap(p)
     p.set_defaults(handler=_cmd_cycle_structure)
 
     star = sub.add_parser("star", help="star-position classification")
@@ -354,14 +363,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = star_sub.add_parser("structure", help="components of FS(Star_n, Y), biconnected Y")
     p.add_argument("--y", required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    _add_config_flags(p)
     p.set_defaults(handler=_cmd_star_structure)
 
     acyc = sub.add_parser("acyc", help="acyclic orientations and flip classes")
     acyc_sub = acyc.add_subparsers(dest="acyc_command", required=True)
     p = acyc_sub.add_parser("enumerate", help="list all acyclic orientations")
     p.add_argument("--g", required=True)
-    _add_config_flags(p)
+    _add_listing_cap(p)
     p.set_defaults(handler=_cmd_acyc_enumerate)
     p = acyc_sub.add_parser("partition", help="equivalence classes under a flip move")
     p.add_argument("--g", required=True)
@@ -372,11 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
-    _add_config_flags(p)
     p.set_defaults(handler=_cmd_acyc_partition)
     p = acyc_sub.add_parser("phi", help="source-flip successor map on double-flip classes")
     p.add_argument("--g", required=True)
-    _add_config_flags(p)
     p.set_defaults(handler=_cmd_acyc_phi)
 
     tutte = sub.add_parser("tutte", help="Tutte polynomial evaluation")
@@ -385,13 +391,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
-    _add_config_flags(p)
     p.set_defaults(handler=_cmd_tutte_eval)
 
     p = sub.add_parser("decide", help="theorem-backed connectivity verdict")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_config_flags(p)
+    _add_state_cap(p)
     p.set_defaults(handler=_cmd_decide)
 
     p = sub.add_parser("oracle-sweep", help="cross-validate fast paths against brute force")
@@ -399,24 +404,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", default="path,cycle,star")
     p.add_argument("--random", type=int, default=0, help="extra random labeled graphs")
     p.add_argument("--random-n", type=int, default=6)
-    p.add_argument("--seed", type=int, default=None)
-    _add_config_flags(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_state_cap(p)
     p.set_defaults(handler=_cmd_oracle_sweep)
 
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    base = RunConfig()
-    state_cap = getattr(args, "state_cap", None)
-    listing_cap = getattr(args, "listing_cap", None)
-    if state_cap is None and listing_cap is None:
-        return base
-    return RunConfig(
-        state_cap=state_cap if state_cap is not None else base.state_cap,
-        listing_cap=listing_cap if listing_cap is not None else base.listing_cap,
-        seed=base.seed,
-    )
+    caps = {
+        name: value
+        for name in ("state_cap", "listing_cap")
+        if (value := getattr(args, name, None)) is not None
+    }
+    return RunConfig(**caps)
 
 
 def main(argv=None) -> int:

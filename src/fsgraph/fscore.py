@@ -186,7 +186,9 @@ def is_connected(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> bool:
 
 
 def component_count(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> int:
-    return components(inst, config).component_count
+    """Number of components, counted over the sweep without building
+    representatives or sizes."""
+    return sum(1 for _ in iter_component_states(inst, config))
 
 
 def inverse_isomorphism_check(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> bool:

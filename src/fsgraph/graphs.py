@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 from .config import DEFAULT_PROLONGATION_VERTEX_CAP
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 
 NAMED_FAMILIES = (
     "complete",
@@ -47,6 +47,8 @@ class Graph:
                 i, j = e
             except (TypeError, ValueError) as exc:
                 raise InvalidArgumentError(f"bad edge {e!r}") from exc
+            if type(i) is not int or type(j) is not int:
+                raise InvalidArgumentError(f"edge {e!r} has a non-integer endpoint")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise InvalidArgumentError(f"edge {e!r} has an endpoint outside 1..{n}")
             if i == j:
@@ -328,7 +330,13 @@ def _component_masks(adj: tuple[int, ...], vertex_mask: int) -> list[int]:
 
 
 def _mask_to_vertices(mask: int) -> tuple[int, ...]:
-    return tuple(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+    """The 1-indexed vertices of a mask, ascending."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length())
+    return tuple(out)
 
 
 def structure_report(g: Graph) -> StructureReport:
@@ -454,9 +462,7 @@ class ProlongationWitness:
     hamiltonian_path: tuple[int, ...]  # path of the big graph containing the embedded copy
 
 
-def is_prolongation(
-    big: Graph, small: Graph, vertex_cap: int = DEFAULT_PROLONGATION_VERTEX_CAP
-) -> ProlongationWitness | None:
+def is_prolongation(big: Graph, small: Graph) -> ProlongationWitness | None:
     """Witness that ``big`` extends a copy of ``small`` along a Hamiltonian path.
 
     Concretely: a Hamiltonian path of ``big`` together with a window of
@@ -465,9 +471,10 @@ def is_prolongation(
     """
     if big.n < small.n:
         raise InvalidArgumentError("the prolongation must have at least as many vertices")
-    if big.n > vertex_cap:
-        raise InvalidArgumentError(
-            f"prolongation search capped at {vertex_cap} vertices, got {big.n}"
+    if big.n > DEFAULT_PROLONGATION_VERTEX_CAP:
+        raise ResourceLimitError(
+            f"prolongation search capped at {DEFAULT_PROLONGATION_VERTEX_CAP} vertices,"
+            f" got {big.n}"
         )
     small_paths = list(iter_hamiltonian_paths(small))
     if not small_paths:

@@ -13,7 +13,7 @@ import itertools
 
 from .config import DEFAULT_EDGE_CAP, DEFAULT_EXTENSION_VERTEX_CAP
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
-from .graphs import Graph, _component_masks
+from .graphs import Graph, _component_masks, _mask_to_vertices
 from .perms import Permutation
 
 PARTITION_KINDS = ("toric", "double_flip", "local_double_flip", "ab_flip")
@@ -62,35 +62,13 @@ class Orientation:
 
     def sources(self) -> tuple[int, ...]:
         """Vertices of in-degree 0 (isolated vertices count)."""
-        return _vertices(self._masks()[1])
+        return _mask_to_vertices(self._masks()[1])
 
     def sinks(self) -> tuple[int, ...]:
-        return _vertices(self._masks()[2])
+        return _mask_to_vertices(self._masks()[2])
 
     def is_acyclic(self) -> bool:
-        n = self.graph.n
-        out = self._out_masks()
-        indeg = [0] * n
-        for v in range(n):
-            m = out[v]
-            while m:
-                bit = m & -m
-                m &= m - 1
-                indeg[bit.bit_length() - 1] += 1
-        ready = [v for v in range(n) if indeg[v] == 0]
-        removed = 0
-        while ready:
-            v = ready.pop()
-            removed += 1
-            m = out[v]
-            while m:
-                bit = m & -m
-                m &= m - 1
-                u = bit.bit_length() - 1
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    ready.append(u)
-        return removed == n
+        return len(self._topological_order()) == self.graph.n
 
     def reachability(self) -> tuple[int, ...]:
         """Bitmask per vertex of everything strictly reachable from it (cached)."""
@@ -99,6 +77,8 @@ class Orientation:
             out = self._out_masks()
             reach = [0] * n
             order = self._topological_order()
+            if len(order) != n:
+                raise InvalidArgumentError("orientation contains a directed cycle")
             for v in reversed(order):
                 r = out[v]
                 m = out[v]
@@ -111,6 +91,9 @@ class Orientation:
         return self._reach
 
     def _topological_order(self) -> list[int]:
+        """Kahn's algorithm: the vertices that never lie downstream of a
+        directed cycle, in topological order; all n of them exactly when
+        the orientation is acyclic."""
         n = self.graph.n
         out = self._out_masks()
         indeg = [0] * n
@@ -133,8 +116,6 @@ class Orientation:
                 indeg[u] -= 1
                 if indeg[u] == 0:
                     ready.append(u)
-        if len(order) != n:
-            raise InvalidArgumentError("orientation contains a directed cycle")
         return order
 
     # -- flip moves ---------------------------------------------------------
@@ -277,20 +258,10 @@ def _ends(bits: int, inc, low, high) -> tuple[int, int]:
     return src, snk
 
 
-def _vertices(mask: int) -> tuple[int, ...]:
-    """The 1-indexed vertices of a mask, ascending."""
-    out = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out.append(bit.bit_length())
-    return tuple(out)
-
-
-def _check_edge_cap(graph: Graph, edge_cap: int = DEFAULT_EDGE_CAP) -> None:
-    if graph.edge_count > edge_cap:
+def _check_edge_cap(graph: Graph) -> None:
+    if graph.edge_count > DEFAULT_EDGE_CAP:
         raise ResourceLimitError(
-            f"{graph.edge_count} edges exceeds the enumeration cap of {edge_cap}"
+            f"{graph.edge_count} edges exceeds the enumeration cap of {DEFAULT_EDGE_CAP}"
         )
 
 
@@ -326,9 +297,9 @@ def _acyclic_bits(graph: Graph) -> list[int]:
     return out
 
 
-def enumerate_acyclic(graph: Graph, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[Orientation, ...]:
+def enumerate_acyclic(graph: Graph) -> tuple[Orientation, ...]:
     """All acyclic orientations, sorted by direction bit vector."""
-    _check_edge_cap(graph, edge_cap)
+    _check_edge_cap(graph)
     return tuple(Orientation(graph, bits) for bits in _acyclic_bits(graph))
 
 
@@ -401,9 +372,6 @@ class OrientationPartition:
             raise InvalidArgumentError("orientation is not part of this partition")
         return self._index[orientation.bits]
 
-    def all_orientations(self) -> tuple[Orientation, ...]:
-        return tuple(sorted((o for cls in self.classes for o in cls), key=lambda o: o.bits))
-
     def to_json_dict(self) -> dict:
         data: dict = {"kind": self.kind}
         if self.kind == "ab_flip":
@@ -429,7 +397,7 @@ def _move_classes(
     allowed = [full] * n   # where a double flip may take its sink, per source
     if kind == "local_double_flip":
         for mask in _component_masks(adj, full):
-            for v in _vertices(mask):
+            for v in _mask_to_vertices(mask):
                 allowed[v - 1] = mask
     members_of = set(acyclic)
     assigned: set[int] = set()
@@ -443,14 +411,14 @@ def _move_classes(
             src, snk = _ends(cur, inc, low, high)
             moves = []
             if kind == "toric":
-                moves = [cur ^ inc[v - 1] for v in _vertices(src | snk)]
+                moves = [cur ^ inc[v - 1] for v in _mask_to_vertices(src | snk)]
             elif kind == "ab_flip":
                 moves = _ab_moves(cur, src, snk, a, b, adj, inc)
             else:
-                for u in _vertices(src):
+                for u in _mask_to_vertices(src):
                     flipped = cur ^ inc[u - 1]
                     sinks = snk & ~adj[u - 1] & ~(1 << (u - 1)) & allowed[u - 1]
-                    moves.extend(flipped ^ inc[v - 1] for v in _vertices(sinks))
+                    moves.extend(flipped ^ inc[v - 1] for v in _mask_to_vertices(sinks))
             for nxt in moves:
                 assert nxt in members_of, "flip move broke acyclicity"
                 if nxt not in members:
@@ -465,8 +433,8 @@ def _ab_moves(cur: int, src: int, snk: int, a: int, b: int, adj, inc) -> list[in
     """Every (a, b)-flip of `cur`: a sources and b sinks, pairwise distinct
     and non-adjacent, flipped at once (also b sources and a sinks)."""
     moves = []
-    sources = _vertices(src)
-    sinks = _vertices(snk)
+    sources = _mask_to_vertices(src)
+    sinks = _mask_to_vertices(snk)
     for na, nb in [(a, b)] if a == b else [(a, b), (b, a)]:
         for us in itertools.combinations(sources, na):
             for vs in itertools.combinations(sinks, nb):
@@ -488,7 +456,6 @@ def partition_by_moves(
     kind: str,
     a: int | None = None,
     b: int | None = None,
-    edge_cap: int = DEFAULT_EDGE_CAP,
 ) -> OrientationPartition:
     """Group the acyclic orientations into classes reachable by the chosen
     move kind, via breadth-first closure (no symmetry shortcuts)."""
@@ -497,7 +464,7 @@ def partition_by_moves(
     if kind == "ab_flip":
         if a is None or b is None or a < 0 or b < 0:
             raise InvalidArgumentError("ab_flip needs non-negative sizes a and b")
-    _check_edge_cap(graph, edge_cap)
+    _check_edge_cap(graph)
     classes = _move_classes(graph, kind, a, b, _acyclic_bits(graph))
     return OrientationPartition(
         graph,
@@ -508,13 +475,13 @@ def partition_by_moves(
     )
 
 
-def linear_extensions(
-    o: Orientation, n_cap: int = DEFAULT_EXTENSION_VERTEX_CAP
-) -> frozenset[Permutation]:
+def linear_extensions(o: Orientation) -> frozenset[Permutation]:
     """All vertex orders compatible with every directed reachability of o."""
     n = o.graph.n
-    if n > n_cap:
-        raise ResourceLimitError(f"linear extension listing capped at n <= {n_cap}")
+    if n > DEFAULT_EXTENSION_VERTEX_CAP:
+        raise ResourceLimitError(
+            f"linear extension listing capped at n <= {DEFAULT_EXTENSION_VERTEX_CAP}"
+        )
     if not o.is_acyclic():
         raise InvalidArgumentError("cyclic orientations have no linear extensions")
     pred = [0] * n
@@ -539,14 +506,12 @@ def linear_extensions(
     return frozenset(out)
 
 
-def linear_extensions_of_class(
-    orientations, n_cap: int = DEFAULT_EXTENSION_VERTEX_CAP
-) -> frozenset[Permutation]:
+def linear_extensions_of_class(orientations) -> frozenset[Permutation]:
     """Union of the linear extensions over a class of orientations.  The
     union is disjoint: each permutation extends exactly one orientation."""
     result: set[Permutation] = set()
     for o in orientations:
-        result.update(linear_extensions(o, n_cap=n_cap))
+        result.update(linear_extensions(o))
     return frozenset(result)
 
 

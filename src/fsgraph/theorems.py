@@ -32,6 +32,7 @@ from .graphs import (
     _component_masks,
     _drop_vertex,
     _hamiltonian_paths,
+    _mask_to_vertices,
     has_hamiltonian_path,
     induced_subgraph,
     structure_report,
@@ -185,7 +186,7 @@ class StarStructure:
     sizes: tuple[int, ...] | None   # None when the classification fixes only the count
 
 
-def star_fs_structure(y: Graph, config: RunConfig = DEFAULT_CONFIG) -> StarStructure | None:
+def star_fs_structure(y: Graph) -> StarStructure | None:
     """Components of FS(Star_n, Y) for biconnected Y; None when Y is not
     biconnected (callers fall back to brute force).
 
@@ -221,8 +222,6 @@ class CutPathCertificate:
 
 
 def _vertex_components(x: Graph, removed: int) -> list[frozenset[int]]:
-    from .graphs import _component_masks, _mask_to_vertices
-
     mask = ((1 << x.n) - 1) & ~(1 << (removed - 1))
     return [frozenset(_mask_to_vertices(m)) for m in _component_masks(x._adj, mask)]
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -55,6 +56,11 @@ def test_cycle_structure_command(capsys):
     code, out, _ = run_cli(capsys, "cycle", "structure", "--y", y)
     assert code == 0
     assert json.loads(out) == {"component_count": 5, "nu": 5, "toric_count": 1}
+    for cap, listed in (("120", True), ("119", False)):
+        code, out, _ = run_cli(capsys, "cycle", "structure", "--y", y, "--list", "--listing-cap", cap)
+        payload = json.loads(out)
+        assert code == 0 and (payload["classes"] is not None) == listed
+    assert payload["classes_error"] == "5! exceeds the listing cap of 119"
 
 
 def test_fs_components_command(capsys):
@@ -137,6 +143,14 @@ def test_path_structure_listing(capsys):
     assert payload["classes"] == [
         {"orientation": "", "extensions": ["123", "132", "213", "231", "312", "321"]}
     ]
+    code, out, _ = run_cli(
+        capsys, "path", "structure", "--y", "family:complete:3", "--list", "--listing-cap", "5"
+    )
+    assert code == 0
+    assert out == (
+        '{"component_count": 1, "classes": null, '
+        '"classes_error": "3! exceeds the listing cap of 5"}\n'
+    )
 
 
 def test_acyc_commands(capsys):
@@ -201,7 +215,7 @@ def test_exit_code_resource_limit(capsys):
     assert "resource limit" in err
 
 
-def test_state_cap_flag_and_env(capsys, monkeypatch):
+def test_state_cap_flag(capsys):
     code, _, _ = run_cli(
         capsys,
         "fs",
@@ -214,11 +228,20 @@ def test_state_cap_flag_and_env(capsys, monkeypatch):
         "10",
     )
     assert code == 3
-    monkeypatch.setenv("FS_STATE_CAP", "10")
-    code, _, _ = run_cli(
-        capsys, "fs", "connected", "--x", "family:complete:6", "--y", "family:complete:6"
+    # Every command that takes the flag refuses a 1-state budget on an
+    # input it answers at the default cap.
+    small_inputs = (
+        ("fs", "components", "--x", "family:star:4", "--y", "family:cycle:4"),
+        ("fs", "connected", "--x", "family:path:3", "--y", "family:path:3"),
+        # K_4 / K_4 reaches the hereditary rung, whose n <= 5 base case searches.
+        ("decide", "--x", "family:complete:4", "--y", "family:complete:4"),
+        ("oracle-sweep", "--max-n", "3"),
     )
-    assert code == 3
+    for argv in small_inputs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        code, out, err = run_cli(capsys, *argv, "--state-cap", "1")
+        assert code == 3 and out == "" and "exceeds the configured cap of 1" in err
 
 
 def test_output_is_deterministic(capsys):
@@ -301,6 +324,11 @@ def test_acyc_enumerate_counts_before_listing(capsys):
             str(o) for bits in range(16) if (o := Orientation(c4, bits)).is_acyclic()
         ],
     }
+    code, out, _ = run_cli(capsys, "acyc", "enumerate", "--g", "family:cycle:4", "--listing-cap", "13")
+    assert code == 0 and out == (
+        '{"count": 14, "orientations": null, '
+        '"orientations_error": "14 orientations exceed the listing cap of 13"}\n'
+    )
     code, _, err = run_cli(capsys, "acyc", "enumerate", "--g", "family:complete:8")
     assert code == 3 and "28 edges exceeds the enumeration cap of 24" in err
 
@@ -347,3 +375,51 @@ def test_help_goes_to_the_current_stdout(argv):
         code, out, _ = _run_captured(argv)
         assert code == 0
         assert out.startswith("usage: fsgraph")
+
+
+# The cap flags each subcommand accepts: exactly the caps that bound its
+# work.  Each pairing is shown live (the flag at a small value changes the
+# answer) by test_state_cap_flag, test_fs_components_honours_the_listing_cap,
+# test_path_structure_listing, test_cycle_structure_command and
+# test_acyc_enumerate_counts_before_listing.
+CAP_FLAGS = {
+    "fs components": {"--state-cap", "--listing-cap"},
+    "fs connected": {"--state-cap"},
+    "fs neighbors": set(),
+    "path structure": {"--listing-cap"},
+    "cycle structure": {"--listing-cap"},
+    "star structure": set(),
+    "acyc enumerate": {"--listing-cap"},
+    "acyc partition": set(),
+    "acyc phi": set(),
+    "tutte eval": set(),
+    "decide": {"--state-cap"},
+    "oracle-sweep": {"--state-cap"},
+}
+
+
+def _leaf_parsers(parser, prefix=()):
+    """(command words, parser) for every runnable subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, prefix + (name,))
+
+
+def test_cap_flags_match_the_inventory():
+    leaves = dict(_leaf_parsers(_build_parser()))
+    assert set(leaves) == set(CAP_FLAGS)
+    for command, parser in leaves.items():
+        accepted = {s for a in parser._actions for s in a.option_strings if s.endswith("-cap")}
+        assert accepted == CAP_FLAGS[command], command
+        help_text = parser.format_help()
+        for flag in ("--state-cap", "--listing-cap"):
+            assert (flag in help_text) == (flag in CAP_FLAGS[command]), (command, flag)
+    # A flag a command does not honour is an argparse error (exit 2).
+    argv = ["tutte", "eval", "--g", "family:path:3", "--x", "2", "--y", "0", "--state-cap", "5"]
+    code, out, err = _run_captured(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: fsgraph ")
+    assert err.endswith("fsgraph: error: unrecognized arguments: --state-cap 5\n")

@@ -9,6 +9,7 @@ from conftest import SPIDER_COMPLEMENT_5, random_graph
 from fsgraph import (
     Graph,
     InvalidArgumentError,
+    ResourceLimitError,
     build_named,
     delete_vertex,
     disjoint_union,
@@ -40,6 +41,9 @@ def test_graph_rejects_bad_input():
         Graph(3, [(1, 1)])
     with pytest.raises(InvalidArgumentError):
         Graph(3, [(1, 4)])
+    for edge in ((1.5, 2), ("1", 2), (True, 2)):
+        with pytest.raises(InvalidArgumentError, match="non-integer endpoint"):
+            Graph(3, [edge])
 
 
 def test_duplicate_edges_collapse():
@@ -358,6 +362,11 @@ def test_star_does_not_prolong_triangle():
 def test_prolongation_needs_base_hamiltonian_path():
     with pytest.raises(InvalidArgumentError):
         is_prolongation(build_named("complete", 5), build_named("star", 4))
+
+
+def test_prolongation_search_past_its_cap_is_a_resource_limit():
+    with pytest.raises(ResourceLimitError, match="capped at 12 vertices, got 13"):
+        is_prolongation(build_named("path", 13), build_named("path", 3))
 
 
 def test_prolongation_witness_is_consistent():
