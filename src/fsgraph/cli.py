@@ -22,6 +22,7 @@ import functools
 import json
 import random
 import sys
+from collections import Counter
 
 from .config import RunConfig
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
@@ -121,7 +122,8 @@ def _cmd_fs_components(args, config: RunConfig):
     return {
         "n": inst.n,
         "component_count": report.component_count,
-        "sizes": list(report.sizes),
+        "sizes": None,
+        "size_counts": sorted(map(list, Counter(report.sizes).items())),
         "representatives": None,
         "representatives_error": (
             f"{report.component_count} components exceed the listing cap of {config.listing_cap}"

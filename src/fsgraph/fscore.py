@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import InvalidArgumentError, ResourceLimitError
-from .graphs import Graph, induced_subgraph, structure_report
+from .graphs import Graph, _component_masks, induced_subgraph, structure_report
 from .perms import Permutation
 
 
@@ -260,8 +260,9 @@ def incidence_matrix_count(x: Graph, y: Graph, x0: int, y0: int) -> int:
 
 
 def _deleted_component_sizes(g: Graph, v: int) -> tuple[int, ...]:
-    sub, _ = induced_subgraph(g, (u for u in range(1, g.n + 1) if u != v))
-    return tuple(len(c) for c in structure_report(sub).components)
+    """Component sizes of g minus vertex v, in order of least vertex."""
+    rest = ((1 << g.n) - 1) & ~(1 << (v - 1))
+    return tuple(m.bit_count() for m in _component_masks(g._adj, rest))
 
 
 # -- component-count identity for disconnected X ------------------------------

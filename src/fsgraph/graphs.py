@@ -38,6 +38,8 @@ class Graph:
     _edges: tuple[tuple[int, int], ...]   # 0-indexed (a, b) with a < b, sorted
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if type(n) is not int:
+            raise InvalidArgumentError(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise InvalidArgumentError(f"vertex count must be positive, got {n}")
         adj = [0] * n

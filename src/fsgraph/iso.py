@@ -19,7 +19,7 @@ import math
 from functools import lru_cache
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .graphs import Graph, _component_masks
+from .graphs import Graph, _component_masks, _mask_to_vertices
 
 CanonicalForm = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -55,25 +55,9 @@ def _initial_colors(g: Graph) -> list:
     n = g.n
     adj = g._adj
     comp_size = [0] * n
-    seen = 0
-    for v in range(n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            w = frontier & -frontier
-            frontier &= frontier - 1
-            new = adj[w.bit_length() - 1] & ~comp
-            comp |= new
-            frontier |= new
-        size = comp.bit_count()
-        m = comp
-        while m:
-            bit = m & -m
-            m &= m - 1
-            comp_size[bit.bit_length() - 1] = size
-        seen |= comp
+    for comp in _cheap_components(g):
+        for v in _mask_to_vertices(comp):
+            comp_size[v - 1] = comp.bit_count()
     tri = [0] * n
     for a, b in g._edges:
         common = adj[a] & adj[b]

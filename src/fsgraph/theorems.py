@@ -25,7 +25,14 @@ from .config import (
     RunConfig,
 )
 from .errors import InvalidArgumentError
-from .fscore import FSInstance, component_count, is_connected, iter_component_states
+from .fscore import (
+    FSInstance,
+    _count_margin_matrices,
+    _deleted_component_sizes,
+    component_count,
+    is_connected,
+    iter_component_states,
+)
 from .graphs import (
     Graph,
     StructureReport,
@@ -136,8 +143,7 @@ def cycle_fs_structure(
     if y.n < 3:
         raise InvalidArgumentError(f"the cycle case needs n >= 3, got {y.n}")
     comp = y.complement()
-    report = structure_report(comp)
-    nu = report.gcd_of_component_sizes
+    nu = math.gcd(*(m.bit_count() for m in _component_masks(comp._adj, (1 << comp.n) - 1)))
     toric_count = tutte_eval(comp, 1, 0)
     count = toric_count * nu
     if not include_classes:
@@ -262,7 +268,11 @@ def cut_path_certificate(x: Graph) -> CutPathCertificate:
     cut vertex through every neighbor enumerates all candidates; each
     candidate is then vetted by the separation check above.
     """
-    report = structure_report(x)
+    return _cut_path(x, structure_report(x))
+
+
+def _cut_path(x: Graph, report: StructureReport) -> CutPathCertificate:
+    """cut_path_certificate(x), given x's structure report."""
     cuts = sorted(report.cut_vertices)
     if not cuts:
         return CutPathCertificate(0, None)
@@ -290,13 +300,13 @@ def cut_path_certificate(x: Graph) -> CutPathCertificate:
     return CutPathCertificate(best[0], best[1])
 
 
-def bipartite_disconnection(x: Graph, y: Graph) -> dict | None:
+def bipartite_disconnection(
+    x: Graph, y: Graph, rx: StructureReport, ry: StructureReport
+) -> dict | None:
     """Both graphs bipartite on n >= 3 vertices forces a parity invariant
     that splits FS(X, Y)."""
     if x.n < 3:
         return None
-    rx = structure_report(x)
-    ry = structure_report(y)
     if rx.is_bipartite and ry.is_bipartite:
         return {
             "x_bipartition": [list(part) for part in rx.bipartition],
@@ -305,33 +315,35 @@ def bipartite_disconnection(x: Graph, y: Graph) -> dict | None:
     return None
 
 
-def cut_path_disconnection(x: Graph, y: Graph) -> dict | None:
+def cut_path_disconnection(
+    x: Graph, y: Graph, rx: StructureReport, ry: StructureReport
+) -> dict | None:
     """A cut path of length d in X plus a vertex of degree <= d in Y pins
     that vertex's label, splitting FS(X, Y)."""
-    cert = cut_path_certificate(x)
+    cert = _cut_path(x, rx)
     if cert.d < 1:
         return None
-    ry = structure_report(y)
     if ry.min_degree > cert.d:
         return None
     y0 = next(v for v in range(1, y.n + 1) if y.degree(v) == ry.min_degree)
     return {"d": cert.d, "path": list(cert.path), "low_degree_vertex": y0}
 
 
-def cut_vertex_disconnection(x: Graph, y: Graph) -> dict | None:
+def cut_vertex_disconnection(
+    x: Graph, y: Graph, rx: StructureReport, ry: StructureReport
+) -> dict | None:
     """Cut vertices on both sides force at least the margin-matrix count of
-    components (always >= 2)."""
+    components (always >= 2): matrices whose row sums are the component
+    sizes of X - x0 and whose column sums are those of Y - y0."""
     if x.n < 3:
         return None
-    rx = structure_report(x)
-    ry = structure_report(y)
     if not (rx.is_connected and ry.is_connected and rx.cut_vertices and ry.cut_vertices):
         return None
     x0 = min(rx.cut_vertices)
     y0 = min(ry.cut_vertices)
-    from .fscore import incidence_matrix_count
-
-    bound = incidence_matrix_count(x, y, x0, y0)
+    bound = _count_margin_matrices(
+        _deleted_component_sizes(x, x0), _deleted_component_sizes(y, y0), {}
+    )
     return {"x_cut_vertex": x0, "y_cut_vertex": y0, "component_lower_bound": bound}
 
 
@@ -379,7 +391,7 @@ def _family_verdict(a: Graph, b: Graph, side: str) -> ConnectivityVerdict | None
             )
         return None
     if n >= 4 and is_lollipop_graph(a):
-        min_deg = structure_report(b).min_degree
+        min_deg = min(b.degrees())
         return ConnectivityVerdict(
             "connected" if min_deg >= n - 2 else "disconnected",
             "lollipop-min-degree",
@@ -388,7 +400,7 @@ def _family_verdict(a: Graph, b: Graph, side: str) -> ConnectivityVerdict | None
     # The n = 4 spindle is the star on 4 vertices and is handled above; the
     # min-degree characterization for this family is applied from n = 5 up.
     if n >= 5 and is_dynkin_graph(a):
-        min_deg = structure_report(b).min_degree
+        min_deg = min(b.degrees())
         return ConnectivityVerdict(
             "connected" if min_deg >= n - 2 else "disconnected",
             "dynkin-min-degree",
@@ -432,18 +444,18 @@ def decide_connectivity(
             "disconnected-factor",
             {"x_connected": rx.is_connected, "y_connected": ry.is_connected},
         )
-    witness = bipartite_disconnection(x, y)
+    witness = bipartite_disconnection(x, y, rx, ry)
     if witness is not None:
         return ConnectivityVerdict("disconnected", "bipartite-parity", witness)
-    witness = cut_path_disconnection(x, y)
+    witness = cut_path_disconnection(x, y, rx, ry)
     if witness is not None:
         witness = dict(witness, side="x")
         return ConnectivityVerdict("disconnected", "cut-path-degree", witness)
-    witness = cut_path_disconnection(y, x)
+    witness = cut_path_disconnection(y, x, ry, rx)
     if witness is not None:
         witness = dict(witness, side="y")
         return ConnectivityVerdict("disconnected", "cut-path-degree", witness)
-    witness = cut_vertex_disconnection(x, y)
+    witness = cut_vertex_disconnection(x, y, rx, ry)
     if witness is not None:
         return ConnectivityVerdict("disconnected", "cut-vertex-margins", witness)
 

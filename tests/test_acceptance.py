@@ -209,20 +209,24 @@ def test_acceptance_disconnection_certificates():
                         brute = components(FSInstance(x, y)).component_count
                     return brute
 
-                if bipartite_disconnection(x, y) is not None:
+                rx = structure_report(x)
+                ry = structure_report(y)
+                if bipartite_disconnection(x, y, rx, ry) is not None:
                     fired["bipartite"] += 1
                     assert brute_count() >= 2, (x.edges, y.edges)
                 if (
-                    cut_path_disconnection(x, y) is not None
-                    or cut_path_disconnection(y, x) is not None
+                    cut_path_disconnection(x, y, rx, ry) is not None
+                    or cut_path_disconnection(y, x, ry, rx) is not None
                 ):
                     fired["cut_path"] += 1
                     assert brute_count() >= 2, (x.edges, y.edges)
-                if cut_vertex_disconnection(x, y) is not None:
+                witness = cut_vertex_disconnection(x, y, rx, ry)
+                if witness is not None:
                     fired["cut_vertex"] += 1
                     assert brute_count() >= 2, (x.edges, y.edges)
-                rx = structure_report(x)
-                ry = structure_report(y)
+                    assert witness["component_lower_bound"] == incidence_matrix_count(
+                        x, y, witness["x_cut_vertex"], witness["y_cut_vertex"]
+                    )
                 if (
                     rx.is_connected
                     and ry.is_connected

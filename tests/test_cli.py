@@ -87,7 +87,7 @@ def test_fs_components_honours_the_listing_cap(capsys):
     code, out, _ = run_cli(capsys, *argv, "--listing-cap", "5")
     assert code == 0
     assert out == (
-        '{"n": 5, "component_count": 6, "sizes": [20, 20, 20, 20, 20, 20], '
+        '{"n": 5, "component_count": 6, "sizes": null, "size_counts": [[20, 6]], '
         '"representatives": null, '
         '"representatives_error": "6 components exceed the listing cap of 5"}\n'
     )
@@ -96,8 +96,16 @@ def test_fs_components_honours_the_listing_cap(capsys):
     )
     payload = json.loads(out)
     assert code == 0 and payload["component_count"] == 40320
+    assert payload["sizes"] is None and payload["size_counts"] == [[1, 40320]]
     assert payload["representatives"] is None
     assert payload["representatives_error"] == "40320 components exceed the listing cap of 10000"
+    assert len(out) < 300
+    # Unequal sizes are counted in ascending order of size.
+    argv = ("fs", "components", "--x", "family:path:4", "--y", "family:path:4")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["sizes"] == [1, 1, 3, 3, 3, 3, 5, 5]
+    code, out, _ = run_cli(capsys, *argv, "--listing-cap", "7")
+    assert code == 0 and json.loads(out)["size_counts"] == [[1, 2], [3, 4], [5, 2]]
 
 
 def test_fs_connected_command(capsys):

@@ -44,6 +44,9 @@ def test_graph_rejects_bad_input():
     for edge in ((1.5, 2), ("1", 2), (True, 2)):
         with pytest.raises(InvalidArgumentError, match="non-integer endpoint"):
             Graph(3, [edge])
+    for n in ("3", 2.5, True):
+        with pytest.raises(InvalidArgumentError, match="vertex count must be an integer"):
+            Graph(n, [])
 
 
 def test_duplicate_edges_collapse():

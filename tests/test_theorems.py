@@ -44,6 +44,7 @@ from fsgraph.orientations import (
     linear_extensions_of_class,
     partition_by_moves,
 )
+from fsgraph import theorems
 from fsgraph.theorems import HereditaryResult, _path_minor
 
 # A 5-vertex graph with a Hamiltonian path for which FS(X, Y) is connected
@@ -337,6 +338,30 @@ def test_star_plus_edge_connects_bipartite_partners():
                 continue
             star_plus = Graph(n, list(build_named("star", n).edges) + [(1, 2)])
             assert is_connected(FSInstance(star_plus, y)), y.edges
+
+
+def test_decide_builds_each_structure_report_once(monkeypatch):
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return structure_report(g)
+
+    monkeypatch.setattr(theorems, "structure_report", counting)
+    margins = (
+        Graph(7, [(1, 2), (1, 4), (1, 6), (2, 3), (2, 5), (2, 7), (3, 6), (4, 6), (5, 7)]),
+        Graph(7, [(1, 2), (1, 5), (2, 5), (2, 7), (3, 4), (3, 5), (3, 6), (4, 5), (5, 6), (5, 7)]),
+    )
+    unknown = (
+        Graph(6, [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5), (5, 6)]),
+        Graph(6, [(1, 2), (1, 3), (1, 5), (1, 6), (2, 4), (3, 5), (3, 6), (4, 6)]),
+    )
+    for (x, y), outcome in ((margins, "cut-vertex-margins"), (unknown, None)):
+        built.clear()
+        verdict = decide_connectivity(x, y)
+        assert verdict.theorem == outcome
+        assert verdict.status == ("disconnected" if outcome else "unknown")
+        assert built == [x, y]
 
 
 def test_decide_size_mismatch():
