@@ -28,8 +28,8 @@ from .config import RunConfig
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
 from .fscore import (
     FSInstance,
+    _component_sweep,
     component_count,
-    components,
     friendly_neighbors,
     fs_to_dot,
     is_connected,
@@ -116,8 +116,8 @@ def _cmd_fs_components(args, config: RunConfig):
     inst = FSInstance(read_graph(args.x), read_graph(args.y))
     if args.format == "dot":
         return fs_to_dot(inst, config)
-    report = components(inst, config)
-    if report.component_count <= config.listing_cap:
+    report = _component_sweep(inst, config, config.listing_cap)
+    if report.representatives is not None:
         return report.to_json_dict(inst.n)
     return {
         "n": inst.n,

@@ -50,7 +50,9 @@ class FSInstance:
 class ComponentReport:
     component_count: int
     sizes: tuple[int, ...]                 # multiset, ascending
-    representatives: tuple[Permutation, ...]   # lexicographically least, in order
+    # Lexicographically least, in order; None only from a sweep whose
+    # component count exceeded its representative cap.
+    representatives: tuple[Permutation, ...] | None
     explored_vertices: int
 
     def to_json_dict(self, n: int) -> dict:
@@ -165,15 +167,23 @@ def iter_component_states(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG):
 
 def components(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> ComponentReport:
     """Exhaustive component sweep of all n! vertices."""
+    return _component_sweep(inst, config, math.inf)
+
+
+def _component_sweep(inst: FSInstance, config: RunConfig, rep_cap: float) -> ComponentReport:
+    """components(inst, config), with representatives None when there are
+    more than rep_cap components: least states are kept only while they
+    fit the cap, and no Permutation is built past it."""
     sizes = []
-    reps = []
+    starts = []
     for start, comp in iter_component_states(inst, config):
         sizes.append(len(comp))
-        reps.append(_perm_of(start))
+        if len(starts) < rep_cap:
+            starts.append(start)
     return ComponentReport(
         component_count=len(sizes),
         sizes=tuple(sorted(sizes)),
-        representatives=tuple(reps),
+        representatives=tuple(map(_perm_of, starts)) if len(sizes) <= rep_cap else None,
         explored_vertices=sum(sizes),
     )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -201,10 +202,14 @@ def star_fs_structure(y: Graph) -> StarStructure | None:
     classification does not fix their sizes); otherwise 2 halves of size
     n!/2 when Y is bipartite and a single component when it is not.
     """
+    if y.n < 3:
+        raise InvalidArgumentError(f"the star case needs n >= 3, got {y.n}")
+    return _star_structure(y, structure_report(y))
+
+
+def _star_structure(y: Graph, report: StructureReport) -> StarStructure | None:
+    """star_fs_structure(y), given y's structure report."""
     n = y.n
-    if n < 3:
-        raise InvalidArgumentError(f"the star case needs n >= 3, got {n}")
-    report = structure_report(y)
     if not report.is_biconnected:
         return None
     if is_cycle_graph(y):
@@ -360,8 +365,11 @@ class ConnectivityVerdict:
         return {"status": self.status, "theorem": self.theorem, "witness": self.witness}
 
 
-def _family_verdict(a: Graph, b: Graph, side: str) -> ConnectivityVerdict | None:
-    """Exact characterizations when the position graph `a` is a named family."""
+def _family_verdict(
+    a: Graph, b: Graph, side: str, report: Callable[[Graph], StructureReport]
+) -> ConnectivityVerdict | None:
+    """Exact characterizations when the position graph `a` is a named family;
+    ``report`` gives a graph's structure report."""
     n = a.n
     if is_path_graph(a):
         missing = b.complement().edge_count
@@ -382,7 +390,7 @@ def _family_verdict(a: Graph, b: Graph, side: str) -> ConnectivityVerdict | None
             },
         )
     if n >= 3 and is_star_graph(a):
-        structure = star_fs_structure(b)
+        structure = _star_structure(b, report(b))
         if structure is not None:
             return ConnectivityVerdict(
                 "connected" if structure.component_count == 1 else "disconnected",
@@ -418,7 +426,11 @@ def decide_connectivity(
     Certificate order is fixed: tiny cases, exact families on either side,
     disconnection certificates (disconnected factor, double bipartite, cut
     path + low degree, cut vertices on both sides), then the hereditary
-    sufficiency recursion.
+    sufficiency recursion on each side whose X has a Hamiltonian path.
+    A side is skipped unless its partner has minimum degree at least
+    n - DEFAULT_HEREDITARY_BASE + 1, without which the recursion cannot
+    succeed (see :func:`_hereditary_can_prove`).  Each graph's structure
+    report is built at most once.
     """
     if x.n != y.n:
         raise InvalidArgumentError("X and Y must have the same number of vertices")
@@ -431,13 +443,14 @@ def decide_connectivity(
             "connected" if ok else "disconnected", "tiny", {"n": 2}
         )
 
+    report = lru_cache(maxsize=None)(structure_report)
     for a, b, side in ((x, y, "x"), (y, x, "y")):
-        verdict = _family_verdict(a, b, side)
+        verdict = _family_verdict(a, b, side, report)
         if verdict is not None:
             return verdict
 
-    rx = structure_report(x)
-    ry = structure_report(y)
+    rx = report(x)
+    ry = report(y)
     if not rx.is_connected or not ry.is_connected:
         return ConnectivityVerdict(
             "disconnected",
@@ -460,7 +473,7 @@ def decide_connectivity(
         return ConnectivityVerdict("disconnected", "cut-vertex-margins", witness)
 
     for a, b, side in ((x, y, "x"), (y, x, "y")):
-        if has_hamiltonian_path(a) is None:
+        if not _hereditary_can_prove(b) or has_hamiltonian_path(a) is None:
             continue
         result = hereditary_sufficiency(a, b, config=config)
         if result.proven_connected:
@@ -471,6 +484,28 @@ def decide_connectivity(
             )
 
     return ConnectivityVerdict("unknown")
+
+
+def _hereditary_can_prove(y: Graph) -> bool:
+    """Necessary condition for hereditary_sufficiency(x, y) to prove FS(X, Y)
+    connected with the default base: min degree of y >= n - base + 1.
+
+    Write base = DEFAULT_HEREDITARY_BASE (at least 2) and m for the size of
+    a pair (xa, ya) inside the recursion.
+
+    - When m > base, ``prove(xa, ya)`` returns True only if ``ya`` is
+      connected and every one-vertex deletion of ``ya`` is proven at size
+      m - 1.
+    - At a base size m >= 2, a connected FS(X', Y') forces Y' to be
+      connected.
+    - Memo hits reuse results for pairs with equal refined forms.  Those
+      pairs are isomorphic, so the property carries over.
+    - By induction, Y - S is connected for every S with |S| <= n - base.
+    - Deleting the neighbours of a vertex of degree <= n - base leaves that
+      vertex isolated among >= base vertices.  So min degree
+      >= n - base + 1 is necessary.
+    """
+    return min(y.degrees()) > y.n - DEFAULT_HEREDITARY_BASE
 
 
 # -- hereditary recursion ---------------------------------------------------------

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import time
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import PAW, PETERSEN
 from fsgraph.cli import _FAMILY_PARAM_COUNT, _build_parser, main, read_graph
 from fsgraph.graphio import graph_to_json_dict, to_graph6
-from fsgraph import Orientation, build_named, disjoint_union
+from fsgraph import Graph, Orientation, build_named, disjoint_union
 from fsgraph.graphs import NAMED_FAMILIES
 
 
@@ -300,6 +301,35 @@ def test_decide_on_symmetric_and_disconnected_inputs_is_fast(capsys):
         assert code == 0
         assert json.loads(out)["status"] == status
     assert json.loads(out)["theorem"] == "disconnected-factor"
+
+
+def _sparse_hamiltonian_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """A random Hamiltonian cycle with one triangle chord plus G(n, p)
+    chords: biconnected, not bipartite and in no named family, so decide
+    runs its whole certificate chain."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    edges = {frozenset(e) for e in zip(order, order[1:] + order[:1])}
+    edges.add(frozenset((order[0], order[2])))
+    edges.update(
+        frozenset((i, j))
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if rng.random() < p
+    )
+    return Graph(n, [tuple(e) for e in edges])
+
+
+def test_decide_answers_sparse_large_pairs_in_bounded_time(capsys):
+    rng = random.Random(16)
+    for n in (16, 30, 40):
+        for _ in range(3):
+            x, y = (to_graph6(_sparse_hamiltonian_graph(rng, n, 0.1)) for _ in "xy")
+            start = time.perf_counter()
+            code, out, _ = run_cli(capsys, "decide", "--x", x, "--y", y)
+            assert time.perf_counter() - start < 5, (n, x, y)
+            assert code == 0
+            assert json.loads(out)["status"] == "unknown", (n, x, y)
 
 
 def test_oracle_sweep_refuses_past_eight_vertices(capsys):

@@ -356,12 +356,21 @@ def test_decide_builds_each_structure_report_once(monkeypatch):
         Graph(6, [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5), (5, 6)]),
         Graph(6, [(1, 2), (1, 3), (1, 5), (1, 6), (2, 4), (3, 5), (3, 6), (4, 6)]),
     )
-    for (x, y), outcome in ((margins, "cut-vertex-margins"), (unknown, None)):
+    # A star X reads Y's report first; Y's cut vertices make the star rule abstain.
+    star_cut = (
+        build_named("star", 6),
+        Graph(6, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6)]),
+    )
+    for (x, y), outcome, order in (
+        (margins, "cut-vertex-margins", "xy"),
+        (unknown, None, "xy"),
+        (star_cut, "cut-path-degree", "yx"),
+    ):
         built.clear()
         verdict = decide_connectivity(x, y)
         assert verdict.theorem == outcome
         assert verdict.status == ("disconnected" if outcome else "unknown")
-        assert built == [x, y]
+        assert built == [{"x": x, "y": y}[side] for side in order]
 
 
 def test_decide_size_mismatch():
@@ -475,6 +484,48 @@ def test_hereditary_never_proves_disconnected_instances_fuzz():
         result = hereditary_sufficiency(x, y)
         if result.proven_connected:
             assert is_connected(FSInstance(x, y))
+
+
+def _gate_declined_pairs():
+    """(a, b) with a Hamiltonian path in a and a partner b that the
+    hereditary gate of decide_connectivity declines: every pair of
+    isomorphism classes at n = 6, then seeded pairs at n = 7 and 8."""
+    classes = enumerate_nonisomorphic(6)
+    declined = [b for b in classes if not theorems._hereditary_can_prove(b)]
+    for a in classes:
+        if has_hamiltonian_path(a) is not None:
+            for b in declined:
+                yield a, b
+    rng = random.Random(71)
+    densities = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    for n in (7, 8):
+        found = 0
+        while found < 30:
+            a = random_graph(rng, n, rng.choice(densities))
+            b = random_graph(rng, n, rng.choice(densities))
+            if has_hamiltonian_path(a) is None or theorems._hereditary_can_prove(b):
+                continue
+            found += 1
+            yield a, b
+
+
+def test_hereditary_gate_declines_only_unprovable_partners(monkeypatch):
+    # The recursion is deterministic, so decide reuses one result per pair.
+    results = {}
+
+    def hereditary(a, b, config=DEFAULT_CONFIG):
+        if (a, b, config) not in results:
+            results[a, b, config] = hereditary_sufficiency(a, b, config=config)
+        return results[a, b, config]
+
+    monkeypatch.setattr(theorems, "hereditary_sufficiency", hereditary)
+    pairs = list(_gate_declined_pairs())
+    for a, b in pairs:
+        assert not hereditary(a, b).proven_connected, (a, b)
+    assert len(pairs) == 8554 + 60
+    gated = [decide_connectivity(a, b) for a, b in pairs]
+    monkeypatch.setattr(theorems, "_hereditary_can_prove", lambda y: True)
+    assert [decide_connectivity(a, b) for a, b in pairs] == gated
 
 
 def test_hereditary_rejects_nonpositive_base():
