@@ -37,7 +37,7 @@ from .fscore import (
 from .graphio import parse_graph, to_dot
 from .graphs import NAMED_FAMILIES, Graph, build_named
 from .iso import enumerate_nonisomorphic
-from .orientations import _check_edge_cap, enumerate_acyclic, partition_by_moves, phi
+from .orientations import PARTITION_KINDS, _check_edge_cap, enumerate_acyclic, partition_by_moves, phi
 from .perms import Permutation
 from .theorems import (
     cycle_fs_structure,
@@ -219,8 +219,6 @@ def _cmd_acyc_enumerate(args, config: RunConfig):
 
 def _cmd_acyc_partition(args, config: RunConfig):
     g = read_graph(args.g)
-    if args.kind == "ab_flip" and (args.a is None or args.b is None):
-        raise InvalidArgumentError("ab_flip partitions need --a and --b")
     partition = partition_by_moves(g, args.kind, a=args.a, b=args.b)
     return partition.to_json_dict()
 
@@ -377,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument(
         "--kind",
-        choices=("toric", "double_flip", "local_double_flip", "ab_flip"),
+        choices=PARTITION_KINDS,
         default="toric",
     )
     p.add_argument("--a", type=int, default=None)

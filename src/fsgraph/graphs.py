@@ -146,29 +146,6 @@ class Graph:
         return Graph._from_masks(tuple(adj))
 
 
-@dataclass(frozen=True)
-class VertexSubset:
-    """A subset of the vertices of a fixed parent graph."""
-
-    graph: Graph
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        for v in self.members:
-            if not 1 <= v <= self.graph.n:
-                raise InvalidArgumentError(f"vertex {v} outside 1..{self.graph.n}")
-
-    @property
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.sorted_members)
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """The graph g + h with h's vertices shifted up by g.n."""
     return Graph._from_masks(g._adj + tuple(m << g.n for m in h._adj))
@@ -254,16 +231,13 @@ def build_named(
 # -- subgraphs --------------------------------------------------------------
 
 
-def induced_subgraph(g: Graph, members: Iterable[int] | VertexSubset) -> tuple[Graph, dict[int, int]]:
+def induced_subgraph(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on a nonempty vertex subset, plus the old->new map.
 
     The surviving vertices are relabeled 1..|S| in increasing order of
     their old labels.
     """
-    if isinstance(members, VertexSubset):
-        member_set = set(members.members)
-    else:
-        member_set = set(members)
+    member_set = set(members)
     if not member_set:
         raise InvalidArgumentError("cannot take the induced subgraph on an empty set")
     for v in member_set:
@@ -299,7 +273,7 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
 
 @dataclass(frozen=True)
 class StructureReport:
-    components: tuple[VertexSubset, ...]
+    components: tuple[tuple[int, ...], ...]   # sorted vertices, by least vertex
     is_connected: bool
     is_bipartite: bool
     bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None
@@ -347,9 +321,7 @@ def structure_report(g: Graph) -> StructureReport:
     full = (1 << n) - 1
     comp_masks = _component_masks(g._adj, full)
     comp_masks.sort(key=lambda m: (m & -m))
-    components = tuple(
-        VertexSubset(g, frozenset(_mask_to_vertices(m))) for m in comp_masks
-    )
+    components = tuple(_mask_to_vertices(m) for m in comp_masks)
     sizes = [m.bit_count() for m in comp_masks]
     connected = len(comp_masks) == 1
 

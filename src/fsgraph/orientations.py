@@ -2,21 +2,31 @@
 
 An orientation is a bit vector over the graph's canonical edge order
 (lexicographic on sorted endpoint pairs): bit t clear means the t-th edge
-runs low -> high, bit t set means high -> low.  Classes of every
-equivalence kind are keyed and sorted by that bit vector, so all outputs
-are order-stable.
+runs low -> high, bit t set means high -> low.  Partition kinds are
+(a, b, local) flips: a sources and b sinks (or b sources and a sinks),
+distinct and pairwise non-adjacent, flipped at once, inside one component
+when local.  Classes are keyed and sorted by the bit vector, so all
+outputs are order-stable.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
-from .config import DEFAULT_EDGE_CAP, DEFAULT_EXTENSION_VERTEX_CAP
+from .config import DEFAULT_EDGE_CAP, DEFAULT_EXTENSION_VERTEX_CAP, DEFAULT_FLIP_SELECTION_CAP
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
 from .graphs import Graph, _component_masks, _mask_to_vertices
 from .perms import Permutation
 
-PARTITION_KINDS = ("toric", "double_flip", "local_double_flip", "ab_flip")
+# Each partition kind as an (a, b, local) flip; ab_flip takes a and b from the caller.
+_KINDS = {
+    "toric": (0, 1, False),
+    "double_flip": (1, 1, False),
+    "local_double_flip": (1, 1, True),
+    "ab_flip": None,
+}
+PARTITION_KINDS = tuple(_KINDS)
 
 
 class Orientation:
@@ -97,12 +107,8 @@ class Orientation:
         n = self.graph.n
         out = self._out_masks()
         indeg = [0] * n
-        for v in range(n):
-            m = out[v]
-            while m:
-                bit = m & -m
-                m &= m - 1
-                indeg[bit.bit_length() - 1] += 1
+        for t, (a, b) in enumerate(self.graph._edges):
+            indeg[a if self.bits >> t & 1 else b] += 1
         ready = [v for v in range(n) if indeg[v] == 0]
         order = []
         while ready:
@@ -122,27 +128,12 @@ class Orientation:
 
     def flip(self, v: int) -> "Orientation":
         """Reverse every edge at v; v must currently be a source or a sink."""
-        self.graph._check_vertex(v)
-        inc, src, snk = self._masks()
-        if not (src | snk) >> (v - 1) & 1:
-            raise InvalidMoveError(f"vertex {v} is neither a source nor a sink")
-        return Orientation(self.graph, self.bits ^ inc[v - 1])
+        return self.ab_flip((v,), ()) if v in self.sources() else self.ab_flip((), (v,))
 
     def double_flip(self, u: int, v: int) -> "Orientation":
         """Flip the source u into a sink and the sink v into a source;
         u and v must be distinct and non-adjacent."""
-        self.graph._check_vertex(u)
-        self.graph._check_vertex(v)
-        if u == v:
-            raise InvalidMoveError("double flip needs two distinct vertices")
-        if self.graph.has_edge(u, v):
-            raise InvalidMoveError(f"vertices {u} and {v} are adjacent")
-        inc, src, snk = self._masks()
-        if not src >> (u - 1) & 1:
-            raise InvalidMoveError(f"vertex {u} is not a source")
-        if not snk >> (v - 1) & 1:
-            raise InvalidMoveError(f"vertex {v} is not a sink")
-        return Orientation(self.graph, self.bits ^ inc[u - 1] ^ inc[v - 1])
+        return self.ab_flip((u,), (v,))
 
     def ab_flip(self, sources_to_flip, sinks_to_flip) -> "Orientation":
         """Simultaneously flip a set of sources and a set of sinks; all the
@@ -158,12 +149,10 @@ class Orientation:
             if self.graph.has_edge(x, y):
                 raise InvalidMoveError(f"vertices {x} and {y} are adjacent")
         inc, src, snk = self._masks()
-        for u in us:
-            if not src >> (u - 1) & 1:
-                raise InvalidMoveError(f"vertex {u} is not a source")
-        for v in vs:
-            if not snk >> (v - 1) & 1:
-                raise InvalidMoveError(f"vertex {v} is not a sink")
+        for ws, ends, name in ((us, src, "source"), (vs, snk, "sink")):
+            for w in ws:
+                if not ends >> (w - 1) & 1:
+                    raise InvalidMoveError(f"vertex {w} is not a {name}")
         bits = self.bits
         for w in chosen:
             bits ^= inc[w - 1]
@@ -205,11 +194,9 @@ class Orientation:
             except ValueError as exc:
                 raise InvalidArgumentError(f"bad directed edge {part!r}") from exc
             a, b = graph._edges[t]
-            if (tail - 1, head - 1) == (a, b):
-                pass
-            elif (tail - 1, head - 1) == (b, a):
+            if (tail - 1, head - 1) == (b, a):
                 bits |= 1 << t
-            else:
+            elif (tail - 1, head - 1) != (a, b):
                 raise InvalidArgumentError(
                     f"edge {part!r} does not match canonical edge {(a + 1, b + 1)}"
                 )
@@ -381,24 +368,59 @@ class OrientationPartition:
         return data
 
 
-def _move_classes(
-    graph: Graph, kind: str, a: int | None, b: int | None, acyclic: list[int]
-) -> list[tuple[int, ...]]:
-    """Close the sorted acyclic direction vectors under the chosen move kind.
+def _flips(out: list, bits: int, free: int, picks, ends, room, inc, pool=-1, cand=0) -> None:
+    """Append to `out` every flip of `bits` that takes one vertex of
+    ``ends[p]`` per entry p of `picks` (0: the sources, 1: the sinks).  A
+    pool is picked in increasing order: `cand` is what is left of `pool`
+    above its last pick.  Every pick narrows `free` by its `room`."""
+    if not picks:
+        out.append(bits)
+        return
+    if picks[0] != pool:
+        pool, cand = picks[0], ends[picks[0]]
+    cand &= free
+    rest = picks[1:]
+    if not rest:
+        out.extend([bits ^ inc[v - 1] for v in _mask_to_vertices(cand)])
+        return
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        v = bit.bit_length() - 1
+        _flips(out, bits ^ inc[v], free & room[v], rest, ends, room, inc, pool, cand)
 
-    Returns the classes as sorted tuples of direction bits, in order of
-    their least member.  Moves are read off source/sink masks: flipping a
-    vertex XORs its incident-edge mask.
-    """
-    n = graph.n
+
+def _flip_moves(graph: Graph, a: int, b: int, local: bool):
+    """The (a, b, local)-flip generator of `graph`: a function from direction
+    bits to their flips, one per choice of vertices."""
     adj = graph._adj
     inc, low, high = _incidence(graph)
-    full = (1 << n) - 1
-    allowed = [full] * n   # where a double flip may take its sink, per source
-    if kind == "local_double_flip":
+    full = (1 << graph.n) - 1
+    # room[v]: the vertices a flip that picks v may still pick.
+    room = [full & ~m & ~(1 << v) for v, m in enumerate(adj)]
+    if local:
         for mask in _component_masks(adj, full):
             for v in _mask_to_vertices(mask):
-                allowed[v - 1] = mask
+                room[v - 1] &= mask
+    # 0 picks a source, 1 a sink; past n there are no a + b distinct vertices.
+    shapes = {(0,) * a + (1,) * b, (0,) * b + (1,) * a} if a + b <= graph.n else ()
+
+    def moves(bits: int) -> list[int]:
+        ends = _ends(bits, inc, low, high)
+        out: list[int] = []
+        for picks in shapes:
+            _flips(out, bits, full, picks, ends, room, inc)
+        return out
+
+    return moves
+
+
+def _move_classes(
+    graph: Graph, a: int, b: int, local: bool, acyclic: list[int]
+) -> list[tuple[int, ...]]:
+    """Close the sorted acyclic direction vectors under (a, b, local)-flips;
+    the classes come as sorted bit tuples in order of least member."""
+    moves = _flip_moves(graph, a, b, local)
     members_of = set(acyclic)
     assigned: set[int] = set()
     classes: list[tuple[int, ...]] = []
@@ -408,18 +430,7 @@ def _move_classes(
         members = {start}
         queue = [start]
         for cur in queue:
-            src, snk = _ends(cur, inc, low, high)
-            moves = []
-            if kind == "toric":
-                moves = [cur ^ inc[v - 1] for v in _mask_to_vertices(src | snk)]
-            elif kind == "ab_flip":
-                moves = _ab_moves(cur, src, snk, a, b, adj, inc)
-            else:
-                for u in _mask_to_vertices(src):
-                    flipped = cur ^ inc[u - 1]
-                    sinks = snk & ~adj[u - 1] & ~(1 << (u - 1)) & allowed[u - 1]
-                    moves.extend(flipped ^ inc[v - 1] for v in _mask_to_vertices(sinks))
-            for nxt in moves:
+            for nxt in moves(cur):
                 assert nxt in members_of, "flip move broke acyclicity"
                 if nxt not in members:
                     members.add(nxt)
@@ -429,28 +440,6 @@ def _move_classes(
     return classes
 
 
-def _ab_moves(cur: int, src: int, snk: int, a: int, b: int, adj, inc) -> list[int]:
-    """Every (a, b)-flip of `cur`: a sources and b sinks, pairwise distinct
-    and non-adjacent, flipped at once (also b sources and a sinks)."""
-    moves = []
-    sources = _mask_to_vertices(src)
-    sinks = _mask_to_vertices(snk)
-    for na, nb in [(a, b)] if a == b else [(a, b), (b, a)]:
-        for us in itertools.combinations(sources, na):
-            for vs in itertools.combinations(sinks, nb):
-                chosen = 0
-                bits = cur
-                for w in us + vs:
-                    chosen |= 1 << (w - 1)
-                    bits ^= inc[w - 1]
-                if chosen.bit_count() != na + nb:
-                    continue
-                if any(adj[w - 1] & chosen for w in us + vs):
-                    continue
-                moves.append(bits)
-    return moves
-
-
 def partition_by_moves(
     graph: Graph,
     kind: str,
@@ -458,21 +447,27 @@ def partition_by_moves(
     b: int | None = None,
 ) -> OrientationPartition:
     """Group the acyclic orientations into classes reachable by the chosen
-    move kind, via breadth-first closure (no symmetry shortcuts)."""
-    if kind not in PARTITION_KINDS:
+    move kind, via breadth-first closure (no symmetry shortcuts).  Kinds
+    are (a, b, local) flips; ab_flip takes a and b from the caller."""
+    if kind not in _KINDS:
         raise InvalidArgumentError(f"kind must be one of {PARTITION_KINDS}, got {kind!r}")
-    if kind == "ab_flip":
-        if a is None or b is None or a < 0 or b < 0:
-            raise InvalidArgumentError("ab_flip needs non-negative sizes a and b")
+    flip_a, flip_b, local = _KINDS[kind] or (a, b, False)
+    if flip_a is None or flip_b is None or flip_a < 0 or flip_b < 0:
+        raise InvalidArgumentError("ab_flip needs non-negative sizes a and b")
     _check_edge_cap(graph)
-    classes = _move_classes(graph, kind, a, b, _acyclic_bits(graph))
-    return OrientationPartition(
-        graph,
-        kind,
-        tuple(tuple(Orientation(graph, bits) for bits in cls) for cls in classes),
-        a=a,
-        b=b,
-    )
+    # C(n, a) C(n - a, b) ways to choose the flipped sources and sinks, as
+    # many again for the swapped (b, a) picks.
+    n = graph.n
+    selections = math.comb(n, flip_a) * math.comb(max(n - flip_a, 0), flip_b)
+    selections *= 1 if flip_a == flip_b else 2
+    if selections > DEFAULT_FLIP_SELECTION_CAP:
+        raise ResourceLimitError(
+            f"{selections} ({flip_a}, {flip_b})-flip selections per orientation exceed "
+            f"the cap of {DEFAULT_FLIP_SELECTION_CAP}"
+        )
+    classes = _move_classes(graph, flip_a, flip_b, local, _acyclic_bits(graph))
+    orientations = tuple(tuple(Orientation(graph, bits) for bits in cls) for cls in classes)
+    return OrientationPartition(graph, kind, orientations, a=a, b=b)
 
 
 def linear_extensions(o: Orientation) -> frozenset[Permutation]:

@@ -153,7 +153,7 @@ def cycle_fs_structure(
     if error is not None:
         return CycleStructure(count, nu, toric_count, None, error)
     groups = _orders_by_orientation(comp)
-    members = _move_classes(comp, "double_flip", None, None, sorted(groups))
+    members = _move_classes(comp, 1, 1, False, sorted(groups))
     if len(members) != count:
         raise AssertionError(
             f"double-flip classes ({len(members)}) disagree with "

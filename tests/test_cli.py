@@ -187,6 +187,19 @@ def test_acyc_commands(capsys):
     assert sorted(payload["phi"]) == sorted(range(6))
 
 
+def test_acyc_partition_refuses_before_enumerating_flip_selections(capsys):
+    # One orientation and no edges, but C(24, 4) C(20, 4) selections per orientation.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "acyc", "partition", "--g", "family:edgeless:24", "--kind", "ab_flip",
+        "--a", "4", "--b", "4",
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "") and "selections" in err
+    code, out, err = run_cli(capsys, "acyc", "partition", "--g", "family:path:3", "--kind", "ab_flip")
+    assert (code, out) == (2, "") and "a and b" in err
+
+
 def test_dot_outputs(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -13,6 +13,7 @@ from fsgraph import (
     InvalidMoveError,
     Orientation,
     Permutation,
+    ResourceLimitError,
     build_named,
     enumerate_acyclic,
     linear_extensions,
@@ -25,7 +26,7 @@ from fsgraph import (
     tutte_eval,
 )
 from fsgraph.iso import enumerate_nonisomorphic
-from fsgraph.orientations import _move_classes
+from fsgraph.orientations import _flip_moves, _move_classes
 
 
 # -- orientations from permutations ---------------------------------------------
@@ -122,15 +123,11 @@ def test_enumerate_matches_tutte_on_all_small_graphs():
 
 
 def test_enumerate_respects_edge_cap():
-    from fsgraph import ResourceLimitError
-
     with pytest.raises(ResourceLimitError):
         enumerate_acyclic(build_named("complete", 8))  # 28 edges > default cap
 
 
 def test_extension_listing_respects_vertex_cap():
-    from fsgraph import ResourceLimitError
-
     with pytest.raises(ResourceLimitError):
         linear_extensions(Orientation(Graph(11), 0))
 
@@ -585,17 +582,73 @@ def test_partition_matches_orientation_closure():
     graphs += _seeded_graphs(44, [(6, 6), (6, 9), (6, 11), (7, 7), (7, 10), (8, 8), (8, 11)])
     for g in graphs:
         cases = [(kind, None, None) for kind in ("toric", "double_flip", "local_double_flip")]
-        cases += [("ab_flip", a, b) for a, b in ((0, 0), (0, 1), (1, 1), (2, 1), (2, 2))]
+        cases += [
+            ("ab_flip", a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (2, 2), (3, 0))
+        ]
         for kind, a, b in cases:
             got = [tuple(o.bits for o in cls) for cls in partition_by_moves(g, kind, a, b).classes]
             assert got == _reference_partition(g, kind, a, b), (g.edges, kind, a, b)
+
+
+def test_flip_generator_agrees_with_ab_flip():
+    # For every (a, b, local) flip, the generator's moves of an orientation
+    # are exactly its legal ab_flip calls (one per choice of vertices, local
+    # ones inside one component), and every illegal call raises.
+    graphs = _seeded_graphs(45, [(3, 2), (4, 3), (5, 4), (6, 7), (7, 8), (8, 9), (8, 12)])
+    rng = random.Random(46)
+    flips = [(0, 1, False), (1, 1, False), (1, 1, True), (0, 0, False), (1, 0, False)]
+    flips += [(2, 1, False), (2, 1, True), (2, 2, False), (3, 0, False)]
+    for g in graphs:
+        comp_id = {v: i for i, comp in enumerate(structure_report(g).components) for v in comp}
+        orientations = list(enumerate_acyclic(g))
+        if len(orientations) > 12:
+            orientations = rng.sample(orientations, 12)
+        for a, b, local in flips:
+            moves = _flip_moves(g, a, b, local)
+            for o in orientations:
+                src, snk = _degree_sources_sinks(o)
+                legal = []
+                for na, nb in {(a, b), (b, a)}:
+                    for us in itertools.combinations(range(1, g.n + 1), na):
+                        for vs in itertools.combinations(range(1, g.n + 1), nb):
+                            chosen = us + vs
+                            if (
+                                len(set(chosen)) < len(chosen)
+                                or any(g.has_edge(x, y) for x, y in itertools.combinations(chosen, 2))
+                                or not set(us) <= set(src)
+                                or not set(vs) <= set(snk)
+                            ):
+                                with pytest.raises(InvalidMoveError):
+                                    o.ab_flip(us, vs)
+                                continue
+                            bits = o.ab_flip(us, vs).bits
+                            assert bits == _edge_flip(o, chosen)
+                            if not local or len({comp_id[w] for w in chosen}) <= 1:
+                                legal.append(bits)
+                assert sorted(moves(o.bits)) == sorted(legal), (g.edges, o.bits, a, b, local)
+
+
+def test_flip_selection_cap_bounds_the_work_per_orientation():
+    # An edgeless graph has one orientation and passes the edge cap, so only
+    # the C(n, a) C(n - a, b) selection count (doubled when a != b) bounds it.
+    assert partition_by_moves(Graph(316), "double_flip").class_count == 1   # 99540 choices
+    with pytest.raises(ResourceLimitError):
+        partition_by_moves(Graph(317), "local_double_flip")   # 100172
+    assert partition_by_moves(Graph(67), "ab_flip", 3, 0).class_count == 1   # 95810
+    with pytest.raises(ResourceLimitError):
+        partition_by_moves(Graph(68), "ab_flip", 0, 3)   # 100232
+    with pytest.raises(ResourceLimitError):
+        partition_by_moves(Graph(24), "ab_flip", 4, 4)
+    # More flipped vertices than the graph has: no move, one class per orientation.
+    path = build_named("path", 3)
+    assert partition_by_moves(path, "ab_flip", 10**9, 0).class_count == 4
 
 
 def test_move_closure_asserts_that_moves_stay_in_the_acyclic_set():
     # Handing the closure an incomplete set makes a legal flip land outside it.
     path = build_named("path", 3)
     with pytest.raises(AssertionError, match="acyclicity"):
-        _move_classes(path, "toric", None, None, [0])
+        _move_classes(path, 0, 1, False, [0])
 
 
 def test_listings_leave_no_reference_cycles():
