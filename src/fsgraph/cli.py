@@ -22,7 +22,6 @@ import functools
 import json
 import random
 import sys
-from collections import Counter
 
 from .config import RunConfig
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
@@ -116,19 +115,7 @@ def _cmd_fs_components(args, config: RunConfig):
     inst = FSInstance(read_graph(args.x), read_graph(args.y))
     if args.format == "dot":
         return fs_to_dot(inst, config)
-    report = _component_sweep(inst, config, config.listing_cap)
-    if report.representatives is not None:
-        return report.to_json_dict(inst.n)
-    return {
-        "n": inst.n,
-        "component_count": report.component_count,
-        "sizes": None,
-        "size_counts": sorted(map(list, Counter(report.sizes).items())),
-        "representatives": None,
-        "representatives_error": (
-            f"{report.component_count} components exceed the listing cap of {config.listing_cap}"
-        ),
-    }
+    return _component_sweep(inst, config, config.listing_cap).to_json_dict(inst.n, config)
 
 
 def _cmd_fs_connected(args, config: RunConfig):

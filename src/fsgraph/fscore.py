@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -55,13 +56,22 @@ class ComponentReport:
     representatives: tuple[Permutation, ...] | None
     explored_vertices: int
 
-    def to_json_dict(self, n: int) -> dict:
-        return {
-            "n": n,
-            "component_count": self.component_count,
-            "sizes": list(self.sizes),
-            "representatives": [str(p) for p in self.representatives],
-        }
+    def to_json_dict(self, n: int, config: RunConfig = DEFAULT_CONFIG) -> dict:
+        """The report as JSON.  When the representatives were withheld, the
+        sizes come as ascending [size, multiplicity] pairs, with the
+        listing cap of `config` named in the error."""
+        data: dict = {"n": n, "component_count": self.component_count}
+        if self.representatives is not None:
+            data["sizes"] = list(self.sizes)
+            data["representatives"] = [str(p) for p in self.representatives]
+            return data
+        data["sizes"] = None
+        data["size_counts"] = sorted(map(list, Counter(self.sizes).items()))
+        data["representatives"] = None
+        data["representatives_error"] = (
+            f"{self.component_count} components exceed the listing cap of {config.listing_cap}"
+        )
+        return data
 
 
 def _state_of(sigma: Permutation) -> bytes:
@@ -155,14 +165,17 @@ def component_of(
 def iter_component_states(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG):
     """Yield (least state, component states) pairs in lexicographic order of
     the least state, covering all n! permutations.  The states of each
-    component come as a list in BFS order."""
-    _check_statespace(inst.n, config)
+    component come as a list in BFS order.  The sweep stops as soon as the
+    components found cover all n! states, so no later start is examined."""
+    total = _check_statespace(inst.n, config)
     seen: set[bytes] = set()
     cap = config.state_cap
     for word in itertools.permutations(range(inst.n)):
         start = bytes(word)
         if start not in seen:
             yield start, _bfs_from(inst, start, seen, cap)
+            if len(seen) == total:
+                return
 
 
 def components(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> ComponentReport:

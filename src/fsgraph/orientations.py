@@ -14,10 +14,16 @@ from __future__ import annotations
 import itertools
 import math
 
-from .config import DEFAULT_EDGE_CAP, DEFAULT_EXTENSION_VERTEX_CAP, DEFAULT_FLIP_SELECTION_CAP
+from .config import (
+    DEFAULT_EDGE_CAP,
+    DEFAULT_EXTENSION_VERTEX_CAP,
+    DEFAULT_FLIP_SELECTION_CAP,
+    DEFAULT_ORIENTATION_CAP,
+)
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
 from .graphs import Graph, _component_masks, _mask_to_vertices
 from .perms import Permutation
+from .tutte import tutte_eval
 
 # Each partition kind as an (a, b, local) flip; ab_flip takes a and b from the caller.
 _KINDS = {
@@ -290,6 +296,26 @@ def enumerate_acyclic(graph: Graph) -> tuple[Orientation, ...]:
     return tuple(Orientation(graph, bits) for bits in _acyclic_bits(graph))
 
 
+# The n! vertex orders of [n] as Permutations in lexicographic order, kept
+# per n up to _ORDER_TABLE_MAX_N (8! orders, about 4 MB for all n <= 8).
+# Permutations are immutable, so every listing may share them.
+_ORDER_TABLE_MAX_N = 8
+_ORDER_TABLES: dict[int, tuple[Permutation, ...]] = {}
+
+
+def _vertex_orders(n: int):
+    """An iterator over the n! vertex orders of [n] in lexicographic order:
+    over the memoised table for n <= _ORDER_TABLE_MAX_N, else built lazily."""
+    table = _ORDER_TABLES.get(n)
+    if table is not None:
+        return iter(table)
+    orders = map(Permutation._from_word, map(bytes, itertools.permutations(range(1, n + 1))))
+    if n > _ORDER_TABLE_MAX_N:
+        return orders
+    table = _ORDER_TABLES[n] = tuple(orders)
+    return iter(table)
+
+
 def _orders_by_orientation(graph: Graph) -> dict[int, list[Permutation]]:
     """All n! vertex orders, grouped by the direction bits of the acyclic
     orientation each one induces (edges point from the earlier vertex).
@@ -300,6 +326,8 @@ def _orders_by_orientation(graph: Graph) -> dict[int, list[Permutation]]:
     (placed vertex mask, bits so far) pairs.  Placing v after the vertices
     in p sets the bits of v's low-endpoint edges whose other endpoint is in
     p; ``steps[p]`` tabulates that, with the next mask, per free vertex.
+    The Permutations come from `_vertex_orders`, so for n <= 8 they are
+    built once per process and shared by every listing at that n.
     """
     n = graph.n
     inc, low, _ = _incidence(graph)
@@ -315,18 +343,17 @@ def _orders_by_orientation(graph: Graph) -> dict[int, list[Permutation]]:
     for _ in range(n - 2):
         states = [(q, bits | add) for p, bits in states for q, add in steps[p]]
     # The last two placements run in this loop, so the n! leaves are never
-    # stored; they come in the same order as the words.
-    words = map(bytes, itertools.permutations(range(1, n + 1)))
-    new = Permutation._from_word
+    # stored; they come in the same order as the vertex orders.
+    orders = _vertex_orders(n)
     groups: dict[int, list[Permutation]] = {}
     for p, bits in states:
         for q, add in steps[p]:
             key = bits | add | last[q]
             group = groups.get(key)
             if group is None:
-                groups[key] = [new(next(words))]
+                groups[key] = [next(orders)]
             else:
-                group.append(new(next(words)))
+                group.append(next(orders))
     return groups
 
 
@@ -448,7 +475,9 @@ def partition_by_moves(
 ) -> OrientationPartition:
     """Group the acyclic orientations into classes reachable by the chosen
     move kind, via breadth-first closure (no symmetry shortcuts).  Kinds
-    are (a, b, local) flips; ab_flip takes a and b from the caller."""
+    are (a, b, local) flips; ab_flip takes a and b from the caller.  The
+    closure visits every acyclic orientation, so it refuses up front when
+    their number T(2, 0) exceeds DEFAULT_ORIENTATION_CAP."""
     if kind not in _KINDS:
         raise InvalidArgumentError(f"kind must be one of {PARTITION_KINDS}, got {kind!r}")
     flip_a, flip_b, local = _KINDS[kind] or (a, b, False)
@@ -464,6 +493,11 @@ def partition_by_moves(
         raise ResourceLimitError(
             f"{selections} ({flip_a}, {flip_b})-flip selections per orientation exceed "
             f"the cap of {DEFAULT_FLIP_SELECTION_CAP}"
+        )
+    count = tutte_eval(graph, 2, 0)   # T(2, 0): the orientations the closure visits
+    if count > DEFAULT_ORIENTATION_CAP:
+        raise ResourceLimitError(
+            f"{count} acyclic orientations exceed the cap of {DEFAULT_ORIENTATION_CAP}"
         )
     classes = _move_classes(graph, flip_a, flip_b, local, _acyclic_bits(graph))
     orientations = tuple(tuple(Orientation(graph, bits) for bits in cls) for cls in classes)

@@ -200,6 +200,16 @@ def test_acyc_partition_refuses_before_enumerating_flip_selections(capsys):
     assert (code, out) == (2, "") and "a and b" in err
 
 
+def test_acyc_partition_refuses_too_many_orientations(capsys):
+    # An 18-edge perfect matching: 2^18 acyclic orientations within the edge cap.
+    matching = json.dumps(graph_to_json_dict(Graph(36, [(2 * i + 1, 2 * i + 2) for i in range(18)])))
+    for argv in (("partition", "--kind", "toric"), ("phi",)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "acyc", argv[0], "--g", matching, *argv[1:])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "") and "262144 acyclic orientations" in err
+
+
 def test_dot_outputs(capsys):
     code, out, _ = run_cli(
         capsys,

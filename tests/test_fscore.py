@@ -3,6 +3,7 @@ import math
 import random
 import time
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +33,8 @@ from fsgraph import (
     is_connected,
     structure_report,
 )
-from fsgraph.fscore import fs_to_dot
+from fsgraph import fscore
+from fsgraph.fscore import _component_sweep, fs_to_dot
 from fsgraph.iso import enumerate_nonisomorphic
 
 
@@ -354,6 +356,46 @@ def test_component_search_cap_is_exact():
     assert len(component_of(inst, Permutation.identity(4), RunConfig(state_cap=24))) == 24
     with pytest.raises(ResourceLimitError, match="exceeded the cap of 23 states"):
         component_of(inst, Permutation.identity(4), RunConfig(state_cap=23))
+
+
+def test_sweep_stops_once_every_state_is_seen(monkeypatch):
+    # The sweep draws start words from itertools.permutations; count them.
+    drawn = []
+
+    def counted(*args):
+        for word in itertools.permutations(*args):
+            drawn.append(word)
+            yield word
+
+    monkeypatch.setattr(fscore, "itertools", SimpleNamespace(permutations=counted))
+    connected = FSInstance(build_named("path", 6), build_named("complete", 6))
+    report = components(connected)
+    assert (report.component_count, report.explored_vertices) == (1, 720)
+    assert report.representatives == (Permutation.identity(6),)
+    assert drawn == [tuple(range(6))]   # no start past its one component
+    # A split instance stops at the least word of its last component.
+    drawn.clear()
+    report = components(FSInstance(build_named("path", 4), build_named("path", 4)))
+    assert report.component_count == 8 and report.explored_vertices == 24
+    assert [v + 1 for v in drawn[-1]] == list(report.representatives[-1].word)
+    assert len(drawn) < 24
+
+
+def test_withheld_report_serialises_its_size_counts():
+    inst = FSInstance(build_named("path", 4), build_named("path", 4))
+    config = RunConfig(listing_cap=7)
+    report = _component_sweep(inst, config, config.listing_cap)
+    assert report.representatives is None
+    assert report.to_json_dict(4, config) == {
+        "n": 4,
+        "component_count": 8,
+        "sizes": None,
+        "size_counts": [[1, 2], [3, 4], [5, 2]],
+        "representatives": None,
+        "representatives_error": "8 components exceed the listing cap of 7",
+    }
+    full = components(inst).to_json_dict(4)
+    assert full["sizes"] == [1, 1, 3, 3, 3, 3, 5, 5] and len(full["representatives"]) == 8
 
 
 def test_large_instance_is_refused_before_any_search():

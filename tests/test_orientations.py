@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import time
 from collections import deque
 
 import pytest
@@ -26,7 +27,14 @@ from fsgraph import (
     tutte_eval,
 )
 from fsgraph.iso import enumerate_nonisomorphic
-from fsgraph.orientations import _flip_moves, _move_classes
+from fsgraph.config import DEFAULT_ORIENTATION_CAP
+from fsgraph.orientations import (
+    _ORDER_TABLES,
+    _flip_moves,
+    _incidence,
+    _move_classes,
+    _orders_by_orientation,
+)
 
 
 # -- orientations from permutations ---------------------------------------------
@@ -672,3 +680,109 @@ def test_listings_leave_no_reference_cycles():
         if enabled:
             gc.enable()
     assert kept
+
+
+# -- the shared vertex-order table -----------------------------------------------
+
+
+def _reference_orders_by_orientation(graph: Graph) -> dict[int, list[Permutation]]:
+    """The grouping with every vertex order built per call: a fresh bytes
+    word and Permutation per leaf, as before the orders were shared."""
+    n = graph.n
+    inc, low, _ = _incidence(graph)
+    seen = [0] * (1 << n)
+    steps = []
+    for p in range(1 << n):
+        if p:
+            seen[p] = seen[p & (p - 1)] | inc[(p & -p).bit_length() - 1]
+        steps.append([(p | 1 << v, low[v] & seen[p]) for v in range(n) if not p >> v & 1])
+    last = [step[0][1] if step else 0 for step in steps]
+    states = [(0, 0)]
+    for _ in range(n - 2):
+        states = [(q, bits | add) for p, bits in states for q, add in steps[p]]
+    words = map(bytes, itertools.permutations(range(1, n + 1)))
+    new = Permutation._from_word
+    groups: dict[int, list[Permutation]] = {}
+    for p, bits in states:
+        for q, add in steps[p]:
+            key = bits | add | last[q]
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [new(next(words))]
+            else:
+                group.append(new(next(words)))
+    return groups
+
+
+def _group_words(groups):
+    return [(key, [p.word for p in group]) for key, group in groups.items()]
+
+
+def test_shared_orders_match_per_call_construction():
+    # Keys, key order, list order and words, on every class with n <= 6.
+    graphs = [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)]
+    graphs += _seeded_graphs(51, [(7, 4), (7, 9), (7, 13), (7, 18), (8, 6), (8, 12), (8, 20)])
+    for g in graphs:
+        got = _orders_by_orientation(g)
+        assert _group_words(got) == _group_words(_reference_orders_by_orientation(g)), g.edges
+        assert len(got) == tutte_eval(g, 2, 0)
+
+
+def test_listings_at_one_n_equal_listings_from_a_fresh_table():
+    from fsgraph.theorems import cycle_fs_structure, path_fs_structure
+
+    rng = random.Random(52)
+    ys = [random_graph(rng, n, p) for n in (6, 7) for p in (0.3, 0.55, 0.8)]
+
+    def listings(y):
+        return (
+            path_fs_structure(y, include_classes=True),
+            cycle_fs_structure(y, include_classes=True),
+        )
+
+    shared = [listings(y) for y in ys]
+    fresh = []
+    for y in ys:
+        _ORDER_TABLES.clear()
+        fresh.append(listings(y))
+    assert shared == fresh
+
+
+def test_memoised_orders_build_no_permutation(monkeypatch):
+    first = _orders_by_orientation(build_named("cycle", 7))
+
+    def refuse(*args):
+        raise AssertionError("a Permutation was built")
+
+    monkeypatch.setattr(Permutation, "_from_word", refuse)
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    again = _orders_by_orientation(build_named("path", 7))
+    table = _ORDER_TABLES[7]
+    assert sum(map(len, again.values())) == len(table) == 5040
+    assert {id(p) for group in again.values() for p in group} == {id(p) for p in table}
+    assert {id(p) for group in first.values() for p in group} == {id(p) for p in table}
+
+
+def test_order_tables_stop_at_eight_factorial():
+    _orders_by_orientation(build_named("path", 8))
+    assert len(_ORDER_TABLES[8]) == math.factorial(8)
+    groups = _orders_by_orientation(build_named("path", 9))
+    assert len(groups) == 2**8
+    assert sum(map(len, groups.values())) == math.factorial(9)
+    assert max(_ORDER_TABLES) == 8
+    assert all(len(table) <= math.factorial(8) for table in _ORDER_TABLES.values())
+
+
+def test_orientation_cap_bounds_the_flip_closure():
+    # A perfect matching with m edges has 2^m acyclic orientations and
+    # passes the edge cap; only the orientation count bounds its closure.
+    def matching(m):
+        return Graph(2 * m, [(2 * i + 1, 2 * i + 2) for i in range(m)])
+
+    assert DEFAULT_ORIENTATION_CAP >= math.factorial(7)   # K_7, the largest a test needs
+    assert partition_by_moves(matching(15), "ab_flip", 0, 0).class_count == 2**15
+    for m in (16, 18):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="acyclic orientations exceed"):
+            partition_by_moves(matching(m), "toric")
+        assert time.perf_counter() - start < 1
