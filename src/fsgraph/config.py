@@ -17,11 +17,11 @@ from .errors import InvalidArgumentError
 DEFAULT_STATE_CAP = 400_000      # max explored FS(X,Y) vertices; 9! fits
 DEFAULT_LISTING_CAP = 10_000     # max permutations listed in reports
 DEFAULT_EDGE_CAP = 24            # max edges for orientation enumeration
-DEFAULT_FLIP_SELECTION_CAP = 100_000   # max (a, b)-flip selections per orientation
-DEFAULT_ORIENTATION_CAP = 40_320   # max acyclic orientations in a flip partition; 8! fits
+DEFAULT_CLOSURE_CAP = 100_000    # max acyclic orientations x (1 + flip selections) in a flip closure
 DEFAULT_EXTENSION_VERTEX_CAP = 10   # max n for linear-extension listings
 DEFAULT_PROLONGATION_VERTEX_CAP = 12
 DEFAULT_HEREDITARY_BASE = 5      # brute-force floor of the hereditary recursion
+DEFAULT_HEREDITARY_NODE_BUDGET = 2_000   # max pairs one hereditary recursion expands
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ ordered Y edge (a, b) owns a ``bytes.translate`` table exchanging a and
 b, and one lookup in the flat table list both tests Y-adjacency and
 yields the swap, one C call per friendly swap.  Components are
 discovered by breadth-first search with a single visited hash set for
-the whole sweep; nothing materializes the edge set.  Seeding the sweep
-in lexicographic order makes every report deterministic, and the
-representative of a component is automatically its lexicographically
-least permutation.
+the whole sweep; nothing materializes the edge set.  A sweep runs one
+BFS per symmetry orbit of components: the images of a component under
+the generators of Aut(X) x Aut(Y) are marked seen by mapping its
+states.  Seeding the searches in lexicographic order makes a BFS start
+at its component's least permutation, an image takes the least of its
+mapped states, and reports list the representatives sorted, so every
+report is deterministic.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import Graph, _component_masks, induced_subgraph, structure_report
+from .iso import _automorphism_generators
 from .perms import Permutation
 
 
@@ -162,20 +167,78 @@ def component_of(
     return frozenset(_perm_of(s) for s in states)
 
 
+# What probing one image of a component costs, in BFS swap tests (timed on
+# n = 9 sweeps whose components are all single states).  An orbit is closed
+# only when one BFS of its component, |C| * |E(X)| swap tests, costs more
+# than probing an image under every generator; otherwise each component is
+# searched, as cheaply as its images would be probed.
+_POSITION_PROBE_COST = 4
+_LABEL_PROBE_COST = 2
+
+
+def _state_maps(inst: FSInstance) -> list[tuple[object, bytes | None]]:
+    """Automorphisms of FS(X, Y) acting on states, one per generator of
+    Aut(X) and of Aut(Y): a position generator alpha moves the entry at
+    position alpha(i) to position i, (itemgetter(*alpha), None); a label
+    generator beta relabels every entry, (None, its translate table)."""
+    maps: list[tuple[object, bytes | None]] = [
+        (itemgetter(*alpha), None) for alpha in _automorphism_generators(inst.x)
+    ]
+    for beta in _automorphism_generators(inst.y):
+        maps.append((None, bytes(beta) + bytes(range(inst.n, 256))))
+    return maps
+
+
 def iter_component_states(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG):
-    """Yield (least state, component states) pairs in lexicographic order of
-    the least state, covering all n! permutations.  The states of each
-    component come as a list in BFS order.  The sweep stops as soon as the
-    components found cover all n! states, so no later start is examined."""
+    """Yield (least state, size) per component, in discovery order,
+    covering all n! permutations.
+
+    A component is found by BFS from the least word not yet seen.  For
+    alpha in Aut(X) and beta in Aut(Y), sigma -> beta . sigma . alpha is
+    an automorphism of FS(X, Y), so the component's images under the
+    generators of both groups are components of the same size.  Each new
+    image is marked seen and yielded in turn, and its own images are
+    taken, until the orbit is closed; an image whose first state is
+    already seen is a known component.  The sweep stops as soon as the
+    components found cover all n! states, so no later start is examined.
+    """
     total = _check_statespace(inst.n, config)
     seen: set[bytes] = set()
     cap = config.state_cap
+    maps = None
     for word in itertools.permutations(range(inst.n)):
         start = bytes(word)
-        if start not in seen:
-            yield start, _bfs_from(inst, start, seen, cap)
-            if len(seen) == total:
-                return
+        if start in seen:
+            continue
+        comp = _bfs_from(inst, start, seen, cap)
+        yield start, len(comp)
+        if len(seen) == total:
+            return
+        if maps is None:
+            maps = _state_maps(inst)
+            probes = sum(
+                _POSITION_PROBE_COST if table is None else _LABEL_PROBE_COST for _, table in maps
+            )
+            edges = len(inst._xedges)
+        if len(comp) * edges <= probes:
+            continue
+        orbit = [comp]
+        while orbit:
+            states = orbit.pop()
+            for getter, table in maps:
+                if getter is None:
+                    if states[0].translate(table) in seen:
+                        continue
+                    image = [s.translate(table) for s in states]
+                else:
+                    if bytes(getter(states[0])) in seen:
+                        continue
+                    image = [bytes(w) for w in map(getter, states)]
+                seen.update(image)
+                yield min(image), len(image)
+                if len(seen) == total:
+                    return
+                orbit.append(image)
 
 
 def components(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> ComponentReport:
@@ -188,15 +251,16 @@ def _component_sweep(inst: FSInstance, config: RunConfig, rep_cap: float) -> Com
     more than rep_cap components: least states are kept only while they
     fit the cap, and no Permutation is built past it."""
     sizes = []
-    starts = []
-    for start, comp in iter_component_states(inst, config):
-        sizes.append(len(comp))
-        if len(starts) < rep_cap:
-            starts.append(start)
+    least = []
+    for start, size in iter_component_states(inst, config):
+        sizes.append(size)
+        if len(least) < rep_cap:
+            least.append(start)
+    fits = len(sizes) <= rep_cap
     return ComponentReport(
         component_count=len(sizes),
         sizes=tuple(sorted(sizes)),
-        representatives=tuple(map(_perm_of, starts)) if len(sizes) <= rep_cap else None,
+        representatives=tuple(map(_perm_of, sorted(least))) if fits else None,
         explored_vertices=sum(sizes),
     )
 

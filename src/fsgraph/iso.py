@@ -8,7 +8,10 @@ enough for the hereditary memo keys in :mod:`fsgraph.theorems`.
 ``canonical_form`` takes the minimum over every class-respecting
 relabeling: exact, but a product of class-size factorials (n! on
 vertex-transitive graphs), so it refuses past ``CANONICAL_ORDER_CAP``;
-enumeration up to n = 8 and ``is_isomorphic`` use it.  The family
+enumeration up to n = 8 and ``is_isomorphic`` use it.
+``_automorphism_generators`` reuses the refinement to prune a search for
+generators of Aut(g), which the component sweep of :mod:`fsgraph.fscore`
+uses to search one component per symmetry orbit.  The family
 recognizers read structure directly in O(n + m).
 """
 
@@ -100,6 +103,120 @@ def canonical_form(g: Graph) -> CanonicalForm:
         _relabeled(g, [v for part in parts for v in part])
         for parts in itertools.product(*(itertools.permutations(cls) for cls in classes))
     )
+
+
+# -- automorphism generators -----------------------------------------------------
+
+# Most search nodes _automorphism_generators visits for one graph; no graph
+# on up to 10 vertices tried needed more than 42.  Past it the generators
+# found so far are returned: a subgroup, whose smaller orbits are still sound.
+AUTOMORPHISM_NODE_BUDGET = 1_000
+
+
+def _orbit(gens, v: int) -> set[int]:
+    """The orbit of vertex v under the group generated by gens."""
+    orbit = {v}
+    frontier = [v]
+    for u in frontier:
+        for gen in gens:
+            w = gen[u]
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    return orbit
+
+
+def _preserves_edges(adj: tuple[int, ...], perm) -> bool:
+    """Does the bijection perm map every neighbourhood onto the image's?"""
+    for v, nbrs in enumerate(adj):
+        image = 0
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            image |= 1 << perm[low.bit_length() - 1]
+        if image != adj[perm[v]]:
+            return False
+    return True
+
+
+def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), each the tuple of 0-indexed vertex images.
+
+    A stabiliser chain, from vertex n - 1 down to 0: at level k every
+    generator found so far fixes 0..k-1, and one automorphism fixing
+    0..k-1 is searched for each target in k's refined class not yet in
+    k's orbit.  Each new generator merges two orbits of the group found so
+    far, so there are at most n - 1, and the product over k of the orbit
+    length of k under the generators fixing 0..k-1 is |Aut(g)|.  The group
+    is never enumerated.  After AUTOMORPHISM_NODE_BUDGET search nodes the
+    generators found so far are returned; nothing raises.
+    """
+    n = g.n
+    adj = g._adj
+    colors = _refine_colors(n, adj, _initial_colors(g))
+    pair_adj = adj + tuple(m << n for m in adj)
+    budget = [AUTOMORPHISM_NODE_BUDGET]
+    gens: list[tuple[int, ...]] = []
+    for k in range(n - 1, -1, -1):
+        orbit = _orbit(gens, k)
+        fixed = [(v, v) for v in range(k)]
+        for t in range(k + 1, n):
+            if colors[t] != colors[k] or t in orbit:
+                continue
+            found = _extend(adj, pair_adj, colors, fixed + [(k, t)], budget)
+            if found is not None:
+                gens.append(found)
+                orbit = _orbit(gens, k)
+            elif budget[0] <= 0:
+                return gens
+    return gens
+
+
+def _extend(adj, pair_adj, colors, pairs, budget: list[int]) -> tuple[int, ...] | None:
+    """An automorphism mapping each source of `pairs` to its target, or None
+    when there is none or budget[0], the nodes left, runs out.
+
+    A node individualizes the pairs in two copies of the graph and refines
+    them together (McKay, "Practical graph isomorphism", 1981): such an
+    automorphism maps each vertex into its own colour.  The node tries the
+    map that pairs each colour's vertices in label order, then branches on
+    the least vertex of a colour with more than one.  Only a map that
+    passes :func:`_preserves_edges` is returned.
+    """
+    if budget[0] <= 0:
+        return None
+    budget[0] -= 1
+    n = len(adj)
+    initial = [(c, 0) for c in colors] * 2
+    for i, (v, w) in enumerate(pairs, start=1):
+        initial[v] = (colors[v], i)
+        initial[n + w] = (colors[w], i)
+    joint = _refine_colors(2 * n, pair_adj, initial)
+    cells: dict[int, tuple[list[int], list[int]]] = {}
+    for v in range(n):
+        cells.setdefault(joint[v], ([], []))[0].append(v)
+    for w in range(n):
+        cell = cells.get(joint[n + w])
+        if cell is None:
+            return None
+        cell[1].append(w)
+    if any(len(sources) != len(targets) for sources, targets in cells.values()):
+        return None
+    perm = [0] * n
+    for sources, targets in cells.values():
+        for v, w in zip(sources, targets):
+            perm[v] = w
+    if _preserves_edges(adj, perm):
+        return tuple(perm)
+    split = [sources[0] for sources, _ in cells.values() if len(sources) > 1]
+    if not split:
+        return None
+    v = min(split)
+    for w in cells[joint[v]][1]:
+        found = _extend(adj, pair_adj, colors, pairs + [(v, w)], budget)
+        if found is not None or budget[0] <= 0:
+            return found
+    return None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -14,12 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .config import (
-    DEFAULT_EDGE_CAP,
-    DEFAULT_EXTENSION_VERTEX_CAP,
-    DEFAULT_FLIP_SELECTION_CAP,
-    DEFAULT_ORIENTATION_CAP,
-)
+from .config import DEFAULT_CLOSURE_CAP, DEFAULT_EDGE_CAP, DEFAULT_EXTENSION_VERTEX_CAP
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
 from .graphs import Graph, _component_masks, _mask_to_vertices
 from .perms import Permutation
@@ -467,6 +462,40 @@ def _move_classes(
     return classes
 
 
+def _independent_sets(adj: tuple[int, ...], mask: int, k: int, memo: dict) -> list[int]:
+    """Numbers of independent sets of sizes 0..k among the vertices of
+    mask: the product over its components, each split on a vertex v of
+    largest degree into the sets without v and those with v and none of
+    its neighbours.  ``memo`` maps component masks to their counts."""
+    counts = [1] + [0] * k
+    for comp in _component_masks(adj, mask):
+        part = memo.get(comp)
+        if part is None:
+            v = max(_mask_to_vertices(comp), key=lambda u: (adj[u - 1] & comp).bit_count()) - 1
+            without = _independent_sets(adj, comp & ~(1 << v), k, memo)
+            inside = _independent_sets(adj, comp & ~adj[v] & ~(1 << v), k, memo)
+            part = memo[comp] = [without[0]] + [without[i] + inside[i - 1] for i in range(1, k + 1)]
+        counts = [sum(counts[i] * part[j - i] for i in range(j + 1)) for j in range(k + 1)]
+    return counts
+
+
+def _flip_selections(graph: Graph, a: int, b: int) -> int:
+    """Ways to pick the vertices one (a, b)-flip could flip in some
+    orientation: a + b pairwise distinct, non-adjacent vertices, split into
+    a sources and b sinks (or, when a != b, b sources and a sinks).
+    Isolated vertices are counted in one binomial, so only the at most
+    2 * DEFAULT_EDGE_CAP vertices with edges are split."""
+    k = a + b
+    if k > graph.n:
+        return 0
+    adj = graph._adj
+    isolated = adj.count(0)
+    touched = sum(1 << v for v, nbrs in enumerate(adj) if nbrs)
+    sets = _independent_sets(adj, touched, min(k, touched.bit_count()), {})
+    count = sum(c * math.comb(isolated, k - j) for j, c in enumerate(sets))
+    return count * math.comb(k, a) * (1 if a == b else 2)
+
+
 def partition_by_moves(
     graph: Graph,
     kind: str,
@@ -476,28 +505,21 @@ def partition_by_moves(
     """Group the acyclic orientations into classes reachable by the chosen
     move kind, via breadth-first closure (no symmetry shortcuts).  Kinds
     are (a, b, local) flips; ab_flip takes a and b from the caller.  The
-    closure visits every acyclic orientation, so it refuses up front when
-    their number T(2, 0) exceeds DEFAULT_ORIENTATION_CAP."""
+    closure visits each of the T(2, 0) acyclic orientations once and tries
+    its flip selections, so it refuses up front when T(2, 0) times one
+    plus the selections exceeds DEFAULT_CLOSURE_CAP."""
     if kind not in _KINDS:
         raise InvalidArgumentError(f"kind must be one of {PARTITION_KINDS}, got {kind!r}")
     flip_a, flip_b, local = _KINDS[kind] or (a, b, False)
     if flip_a is None or flip_b is None or flip_a < 0 or flip_b < 0:
         raise InvalidArgumentError("ab_flip needs non-negative sizes a and b")
     _check_edge_cap(graph)
-    # C(n, a) C(n - a, b) ways to choose the flipped sources and sinks, as
-    # many again for the swapped (b, a) picks.
-    n = graph.n
-    selections = math.comb(n, flip_a) * math.comb(max(n - flip_a, 0), flip_b)
-    selections *= 1 if flip_a == flip_b else 2
-    if selections > DEFAULT_FLIP_SELECTION_CAP:
-        raise ResourceLimitError(
-            f"{selections} ({flip_a}, {flip_b})-flip selections per orientation exceed "
-            f"the cap of {DEFAULT_FLIP_SELECTION_CAP}"
-        )
+    selections = _flip_selections(graph, flip_a, flip_b)
     count = tutte_eval(graph, 2, 0)   # T(2, 0): the orientations the closure visits
-    if count > DEFAULT_ORIENTATION_CAP:
+    if count * (1 + selections) > DEFAULT_CLOSURE_CAP:
         raise ResourceLimitError(
-            f"{count} acyclic orientations exceed the cap of {DEFAULT_ORIENTATION_CAP}"
+            f"{count} acyclic orientations exceed the cap of {DEFAULT_CLOSURE_CAP} closure "
+            f"steps with {selections} ({flip_a}, {flip_b})-flip selections each"
         )
     classes = _move_classes(graph, flip_a, flip_b, local, _acyclic_bits(graph))
     orientations = tuple(tuple(Orientation(graph, bits) for bits in cls) for cls in classes)

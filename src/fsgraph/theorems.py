@@ -23,6 +23,7 @@ from .config import (
     DEFAULT_CONFIG,
     DEFAULT_EXTENSION_VERTEX_CAP,
     DEFAULT_HEREDITARY_BASE,
+    DEFAULT_HEREDITARY_NODE_BUDGET,
     RunConfig,
 )
 from .errors import InvalidArgumentError
@@ -30,9 +31,7 @@ from .fscore import (
     FSInstance,
     _count_margin_matrices,
     _deleted_component_sizes,
-    component_count,
     is_connected,
-    iter_component_states,
 )
 from .graphs import (
     Graph,
@@ -42,7 +41,6 @@ from .graphs import (
     _hamiltonian_paths,
     _mask_to_vertices,
     has_hamiltonian_path,
-    induced_subgraph,
     structure_report,
 )
 from .iso import (
@@ -73,7 +71,6 @@ __all__ = [
     "cut_path_certificate",
     "decide_connectivity",
     "hereditary_sufficiency",
-    "hereditary_component_bound",
 ]
 
 
@@ -517,6 +514,10 @@ class HereditaryResult:
     trace: tuple[str, ...]
 
 
+class _OutOfNodes(Exception):
+    """The hereditary recursion used up its node budget."""
+
+
 def hereditary_sufficiency(
     x: Graph,
     y: Graph,
@@ -537,6 +538,11 @@ def hereditary_sufficiency(
     graph's refined form, each Y's one-vertex deletions and each X's
     deduplicated path minors (X relabeled along one of its first
     ``max_labelings`` Hamiltonian paths, minus the last vertex) once.
+
+    At most DEFAULT_HEREDITARY_NODE_BUDGET pairs are expanded (a base case,
+    a disconnected partner or a memo hit is not an expansion).  When the
+    budget runs out the result is "not proven", and the trace ends by
+    saying so.
     """
     if x.n != y.n:
         raise InvalidArgumentError("X and Y must have the same number of vertices")
@@ -547,6 +553,7 @@ def hereditary_sufficiency(
     # Sound: FS(X, Y) connectivity depends only on the classes of X and Y.
     memo: dict = {}
     trace: list[str] = []
+    expansions = 0
 
     @lru_cache(maxsize=None)
     def form(adj: tuple[int, ...]):
@@ -570,6 +577,7 @@ def hereditary_sufficiency(
         return tuple(found)
 
     def prove(xa: tuple[int, ...], ya: tuple[int, ...]) -> bool:
+        nonlocal expansions
         n = len(xa)
         if n <= base_size:
             key = (form(xa), form(ya))
@@ -587,6 +595,9 @@ def hereditary_sufficiency(
         key = (form(xa), form(ya))
         if key in memo:
             return memo[key]
+        if expansions == DEFAULT_HEREDITARY_NODE_BUDGET:
+            raise _OutOfNodes
+        expansions += 1
         memo[key] = False
         ok = False
         for labelings, sub in candidates(xa):
@@ -600,7 +611,13 @@ def hereditary_sufficiency(
         memo[key] = ok
         return ok
 
-    proven = prove(x._adj, y._adj)
+    try:
+        proven = prove(x._adj, y._adj)
+    except _OutOfNodes:
+        proven = False
+        trace.append(
+            f"node budget of {DEFAULT_HEREDITARY_NODE_BUDGET} expansions ran out: not proven"
+        )
     return HereditaryResult(proven, tuple(trace))
 
 
@@ -621,43 +638,3 @@ def _path_minor(adj: tuple[int, ...], path: tuple[int, ...]) -> tuple[int, ...]:
             row |= 1 << position[low.bit_length() - 1]
         rows.append(row)
     return tuple(rows)
-
-
-def hereditary_component_bound(
-    x: Graph, y: Graph, config: RunConfig = DEFAULT_CONFIG
-) -> int | None:
-    """Upper bound for the component count of FS(X, Y) by deleting the last
-    vertex of a Hamiltonian-path relabeling of X, valid when every
-    component contains a permutation whose final-vertex label is a sink of
-    the complement orientation.  The hypothesis is checked by brute force;
-    None when it fails."""
-    if x.n != y.n:
-        raise InvalidArgumentError("X and Y must have the same number of vertices")
-    n = x.n
-    if n < 2:
-        return 1
-    path = has_hamiltonian_path(x)
-    if path is None:
-        raise InvalidArgumentError("the bound needs X to have a Hamiltonian path")
-    relabel = {v: i for i, v in enumerate(path, start=1)}
-    xr = x.relabel(relabel)
-    comp_y = y.complement()
-    # 0-indexed mask of complement neighbors of the vertex n.
-    late_mask = comp_y._adj[n - 1]
-    inst = FSInstance(xr, y)
-    for _, states in iter_component_states(inst, config):
-        if not any(_vertex_n_is_sink(s, n, late_mask) for s in states):
-            return None
-    x_sub, _ = induced_subgraph(xr, range(1, n))
-    y_sub, _ = induced_subgraph(y, range(1, n))
-    return component_count(FSInstance(x_sub, y_sub), config)
-
-
-def _vertex_n_is_sink(state: bytes, n: int, late_mask: int) -> bool:
-    """In the orientation induced by this word, vertex n is a sink iff every
-    complement-neighbor of n occurs before n in the word."""
-    pos = state.index(n - 1)
-    for v in state[pos + 1 :]:
-        if late_mask >> v & 1:
-            return False
-    return True

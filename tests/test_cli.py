@@ -210,6 +210,17 @@ def test_acyc_partition_refuses_too_many_orientations(capsys):
         assert (code, out) == (3, "") and "262144 acyclic orientations" in err
 
 
+def test_acyc_partition_refuses_orientations_times_selections(capsys):
+    # A 13-edge perfect matching: 2^13 orientations, 13728 (1, 2)-flip selections each.
+    matching = json.dumps(graph_to_json_dict(Graph(26, [(2 * i + 1, 2 * i + 2) for i in range(13)])))
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "acyc", "partition", "--g", matching, "--kind", "ab_flip", "--a", "1", "--b", "2"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "") and "8192 acyclic orientations" in err and "13728" in err
+
+
 def test_dot_outputs(capsys):
     code, out, _ = run_cli(
         capsys,

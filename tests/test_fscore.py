@@ -33,7 +33,7 @@ from fsgraph import (
     is_connected,
     structure_report,
 )
-from fsgraph import fscore
+from fsgraph import fscore, iso
 from fsgraph.fscore import _component_sweep, fs_to_dot
 from fsgraph.iso import enumerate_nonisomorphic
 
@@ -350,6 +350,38 @@ def test_search_matches_reference_on_seeded_pairs():
             _assert_matches_reference(x, y, rng)
 
 
+def test_search_matches_reference_against_symmetric_positions():
+    # Star, complete and edgeless positions have the largest automorphism
+    # groups, so most components are found as images of another.
+    rng = random.Random(14)
+    for family in ("star", "complete", "edgeless"):
+        x = build_named(family, 6)
+        for y in enumerate_nonisomorphic(6):
+            assert components(FSInstance(x, y)) == _reference_components(x, y), (family, y)
+    for n in (6, 7):
+        for family in ("path", "cycle", "star"):
+            x = shuffled_copy(build_named(family, n), rng)
+            y = shuffled_copy(random_graph(rng, n, 0.6), rng)
+            _assert_matches_reference(x, y, rng)
+            _assert_matches_reference(y, x, rng)
+
+
+def test_search_matches_reference_without_automorphisms(monkeypatch):
+    # With no search nodes the generator lists come back empty and every
+    # component is found by its own BFS.
+    monkeypatch.setattr(iso, "AUTOMORPHISM_NODE_BUDGET", 0)
+    assert iso._automorphism_generators(build_named("complete", 6)) == []
+    rng = random.Random(15)
+    for n in range(1, 5):
+        for x in enumerate_nonisomorphic(n):
+            for y in enumerate_nonisomorphic(n):
+                _assert_matches_reference(x, y, rng)
+    for family in ("path", "cycle", "star"):
+        x = build_named(family, 6)
+        for _ in range(4):
+            _assert_matches_reference(x, random_graph(rng, 6, 0.6), rng)
+
+
 def test_component_search_cap_is_exact():
     # The component of the identity in FS(K_4, K_4) has exactly 24 states.
     inst = FSInstance(build_named("complete", 4), build_named("complete", 4))
@@ -373,12 +405,24 @@ def test_sweep_stops_once_every_state_is_seen(monkeypatch):
     assert (report.component_count, report.explored_vertices) == (1, 720)
     assert report.representatives == (Permutation.identity(6),)
     assert drawn == [tuple(range(6))]   # no start past its one component
-    # A split instance stops at the least word of its last component.
+    # A split instance stops right after the search whose orbit fills the
+    # visited set: the last word drawn opened the last BFS, before the least
+    # word of the last component, where the plain sweep would stop.
     drawn.clear()
+    starts = []
+    bfs_from = fscore._bfs_from
+
+    def counted_bfs(inst, start, seen, cap):
+        starts.append(start)
+        return bfs_from(inst, start, seen, cap)
+
+    monkeypatch.setattr(fscore, "_bfs_from", counted_bfs)
     report = components(FSInstance(build_named("path", 4), build_named("path", 4)))
     assert report.component_count == 8 and report.explored_vertices == 24
-    assert [v + 1 for v in drawn[-1]] == list(report.representatives[-1].word)
-    assert len(drawn) < 24
+    assert starts[-1] == bytes(drawn[-1])
+    last = tuple(v - 1 for v in report.representatives[-1].word)
+    plain_draws = list(itertools.permutations(range(4))).index(last) + 1
+    assert len(drawn) < plain_draws
 
 
 def test_withheld_report_serialises_its_size_counts():

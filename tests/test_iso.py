@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 import time
 
 import pytest
 
 from conftest import PAW, PETERSEN, random_graph, shuffled_copy
-from fsgraph import Graph, ResourceLimitError, build_named, disjoint_union
+from fsgraph import Graph, ResourceLimitError, build_named, disjoint_union, iso
 from fsgraph.iso import (
     NONISOMORPHIC_COUNTS,
     canonical_form,
@@ -196,3 +197,59 @@ def test_refined_form_is_sound():
     hexagon = build_named("cycle", 6)
     triangles = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     assert refined_form(hexagon) != refined_form(triangles)
+
+
+# -- automorphism generators -------------------------------------------------------
+
+
+def _chain_order(n, gens):
+    """Product over k of the orbit length of k under the generators fixing
+    0..k-1: |Aut| when gens form the stabiliser chain's strong generators."""
+    order = 1
+    for k in range(n):
+        fixing = [p for p in gens if all(p[i] == i for i in range(k))]
+        order *= len(iso._orbit(fixing, k))
+    return order
+
+
+def _maps_edges_onto_edges(g, perm):
+    edges = {frozenset(e) for e in g._edges}
+    return {frozenset((perm[a], perm[b])) for a, b in g._edges} == edges
+
+
+def test_automorphism_generators_reproduce_group_orders():
+    rng = random.Random(24)
+    cases = [(build_named("path", n), 2) for n in (2, 5, 8)]
+    cases += [(build_named("cycle", n), 2 * n) for n in (3, 6, 9)]
+    cases += [(build_named("star", n), math.factorial(n - 1)) for n in (3, 6, 9)]
+    cases += [(build_named("complete", n), math.factorial(n)) for n in (1, 5, 9)]
+    cases += [(Graph(n), math.factorial(n)) for n in (1, 4, 9)]
+    cases += [(PETERSEN, 120)]
+    for g, order in cases:
+        for h in (g, shuffled_copy(g, rng)):
+            gens = iso._automorphism_generators(h)
+            assert len(gens) <= max(h.n - 1, 0)
+            assert all(_maps_edges_onto_edges(h, p) for p in gens)
+            assert _chain_order(h.n, gens) == order, (h.edges, gens)
+
+
+def test_automorphism_generators_match_brute_force_on_small_classes():
+    for n in range(1, 6):
+        for g in enumerate_nonisomorphic(n):
+            gens = iso._automorphism_generators(g)
+            assert all(_maps_edges_onto_edges(g, p) for p in gens)
+            brute = sum(
+                _maps_edges_onto_edges(g, p) for p in itertools.permutations(range(n))
+            )
+            assert _chain_order(n, gens) == brute, g.edges
+
+
+def test_automorphism_search_keeps_what_it_found_when_the_budget_runs_out(monkeypatch):
+    petersen = iso._automorphism_generators(PETERSEN)
+    for budget in (0, 1, 5, 20):
+        monkeypatch.setattr(iso, "AUTOMORPHISM_NODE_BUDGET", budget)
+        gens = iso._automorphism_generators(PETERSEN)
+        assert gens == petersen[: len(gens)]
+        assert all(_maps_edges_onto_edges(PETERSEN, p) for p in gens)
+    monkeypatch.setattr(iso, "AUTOMORPHISM_NODE_BUDGET", 0)
+    assert iso._automorphism_generators(PETERSEN) == []

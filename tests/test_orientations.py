@@ -27,10 +27,11 @@ from fsgraph import (
     tutte_eval,
 )
 from fsgraph.iso import enumerate_nonisomorphic
-from fsgraph.config import DEFAULT_ORIENTATION_CAP
+from fsgraph.config import DEFAULT_CLOSURE_CAP
 from fsgraph.orientations import (
     _ORDER_TABLES,
     _flip_moves,
+    _flip_selections,
     _incidence,
     _move_classes,
     _orders_by_orientation,
@@ -652,6 +653,37 @@ def test_flip_selection_cap_bounds_the_work_per_orientation():
     assert partition_by_moves(path, "ab_flip", 10**9, 0).class_count == 4
 
 
+def test_flip_selections_count_non_adjacent_choices():
+    # Against a direct count of the ordered (sources, sinks) choices.
+    rng = random.Random(41)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.5, 0.8)))
+        for a, b in ((0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (0, 3)):
+            want = 0
+            for picks in {(0,) * a + (1,) * b, (0,) * b + (1,) * a}:
+                for chosen in itertools.permutations(range(g.n), a + b):
+                    sources = chosen[: picks.count(0)]
+                    sinks = chosen[picks.count(0):]
+                    independent = all(
+                        not g._adj[u] >> v & 1 for u, v in itertools.combinations(chosen, 2)
+                    )
+                    ordered = list(sources) == sorted(sources) and list(sinks) == sorted(sinks)
+                    want += independent and ordered
+            assert _flip_selections(g, a, b) == want, (g.edges, a, b)
+
+
+def test_closure_cap_bounds_orientations_times_selections():
+    # A 13-edge perfect matching has 2^13 orientations and 13728 (1, 2)-flip
+    # selections, each within the old per-factor caps.
+    matching = Graph(26, [(2 * i + 1, 2 * i + 2) for i in range(13)])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="8192 acyclic orientations exceed"):
+        partition_by_moves(matching, "ab_flip", 1, 2)
+    assert time.perf_counter() - start < 1
+    # A complete graph has no two non-adjacent vertices: no (1, 1) selection.
+    assert _flip_selections(build_named("complete", 7), 1, 1) == 0
+
+
 def test_move_closure_asserts_that_moves_stay_in_the_acyclic_set():
     # Handing the closure an incomplete set makes a legal flip land outside it.
     path = build_named("path", 3)
@@ -779,7 +811,9 @@ def test_orientation_cap_bounds_the_flip_closure():
     def matching(m):
         return Graph(2 * m, [(2 * i + 1, 2 * i + 2) for i in range(m)])
 
-    assert DEFAULT_ORIENTATION_CAP >= math.factorial(7)   # K_7, the largest a test needs
+    # K_7: 7! orientations, 14 toric selections each.
+    assert math.factorial(7) * (1 + 14) <= DEFAULT_CLOSURE_CAP
+    assert partition_by_moves(build_named("complete", 7), "toric").class_count == 720
     assert partition_by_moves(matching(15), "ab_flip", 0, 0).class_count == 2**15
     for m in (16, 18):
         start = time.perf_counter()

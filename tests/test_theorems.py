@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -23,7 +24,6 @@ from fsgraph import (
     cycle_is_connected,
     decide_connectivity,
     disjoint_union,
-    hereditary_component_bound,
     hereditary_sufficiency,
     is_connected,
     path_fs_structure,
@@ -534,6 +534,44 @@ def test_hereditary_rejects_nonpositive_base():
         hereditary_sufficiency(x, build_named("complete", 6), base_size=0)
 
 
+def test_hereditary_gives_up_when_its_node_budget_runs_out(monkeypatch):
+    x = build_named("lollipop", k=4, m=3)
+    y = _matching_complement(7, 1)
+    assert hereditary_sufficiency(x, y).proven_connected
+    monkeypatch.setattr(theorems, "DEFAULT_HEREDITARY_NODE_BUDGET", 1)
+    result = hereditary_sufficiency(x, y)
+    assert not result.proven_connected
+    assert result.trace[-1] == "node budget of 1 expansions ran out: not proven"
+    assert decide_connectivity(x, y).status == "connected"   # the lollipop rung fires first
+
+
+def _dense_partner_pair(n: int, seed: int) -> tuple[Graph, Graph]:
+    """X: a Hamiltonian cycle plus G(n, 0.2) chords.  Y: the complement of
+    the 3-regular circulant joining i to i +- 1 and i + n/2 (n even), so
+    min degree n - 4 lets the hereditary rung run."""
+    rng = random.Random(seed)
+    cycle = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+    chords = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if (i, j) not in cycle and rng.random() < 0.2
+    ]
+    circulant = Graph(n, sorted(cycle | {(i, i + n // 2) for i in range(1, n // 2 + 1)}))
+    return Graph(n, sorted(cycle) + chords), circulant.complement()
+
+
+def test_decide_answers_dense_partners_within_the_node_budget():
+    x, y = _dense_partner_pair(30, 30)
+    assert min(y.degrees()) == 26 and theorems._hereditary_can_prove(y)
+    start = time.perf_counter()
+    verdict = decide_connectivity(x, y)
+    assert time.perf_counter() - start < 5
+    assert verdict.status == "unknown"
+    result = hereditary_sufficiency(x, y)
+    assert not result.proven_connected and "budget" in result.trace[-1]
+
+
 def _reference_hereditary(
     x, y, base_size=DEFAULT_HEREDITARY_BASE, config=DEFAULT_CONFIG, max_labelings=24
 ):
@@ -619,32 +657,3 @@ def test_path_minor_matches_relabel_then_delete():
             along = g.relabel({v: i for i, v in enumerate(path, start=1)})
             want = induced_subgraph(along, range(1, n))[0]._adj
             assert _path_minor(g._adj, tuple(v - 1 for v in path)) == want
-
-
-def test_component_bound_complete_partner():
-    x = build_named("lollipop", k=2, m=3)
-    assert hereditary_component_bound(x, build_named("complete", 5)) == 1
-
-
-def test_component_bound_upper_bounds_brute_force():
-    rng = random.Random(10)
-    hits = 0
-    violations_found = 0
-    for _ in range(60):
-        n = 5
-        x = random_connected_graph(rng, n, 0.5)
-        from fsgraph import has_hamiltonian_path
-
-        if has_hamiltonian_path(x) is None:
-            continue
-        y = random_graph(rng, n, rng.choice([0.4, 0.6]))
-        bound = hereditary_component_bound(x, y)
-        actual = components(FSInstance(x, y)).component_count
-        if bound is None:
-            violations_found += 1
-            continue
-        hits += 1
-        assert actual <= bound
-    assert hits > 0
-    if violations_found == 0:
-        print("note: no sink-hypothesis violation surfaced in this n=5 sample")
