@@ -403,7 +403,10 @@ def _flips(out: list, bits: int, free: int, picks, ends, room, inc, pool=-1, can
     cand &= free
     rest = picks[1:]
     if not rest:
-        out.extend([bits ^ inc[v - 1] for v in _mask_to_vertices(cand)])
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            out.append(bits ^ inc[bit.bit_length() - 1])
         return
     while cand:
         bit = cand & -cand
@@ -413,8 +416,17 @@ def _flips(out: list, bits: int, free: int, picks, ends, room, inc, pool=-1, can
 
 
 def _flip_moves(graph: Graph, a: int, b: int, local: bool):
-    """The (a, b, local)-flip generator of `graph`: a function from direction
-    bits to their flips, one per choice of vertices."""
+    """The one-way (a, b, local)-flip generator of `graph`: a function from
+    direction bits to their flips of a sources and b sinks, one per choice
+    of vertices.
+
+    The reverse of such a flip flips the b new sources and the a new
+    sinks, so a move and its reverse are never both generated: the moves
+    of b sources and a sinks are left out, and when a == b so are the
+    flips whose least chosen vertex is a sink.  Every move of the closure
+    is still generated from one of its two ends, which is all that
+    `_move_classes` needs.
+    """
     adj = graph._adj
     inc, low, high = _incidence(graph)
     full = (1 << graph.n) - 1
@@ -424,14 +436,25 @@ def _flip_moves(graph: Graph, a: int, b: int, local: bool):
         for mask in _component_masks(adj, full):
             for v in _mask_to_vertices(mask):
                 room[v - 1] &= mask
-    # 0 picks a source, 1 a sink; past n there are no a + b distinct vertices.
-    shapes = {(0,) * a + (1,) * b, (0,) * b + (1,) * a} if a + b <= graph.n else ()
+    # Past n there are no a + b distinct vertices; 0 picks a source, 1 a sink.
+    if a + b > graph.n:
+        return lambda bits: []
+    picks = (0,) * a + (1,) * b
+    # When a == b the least source is picked first and the rest lie above it.
+    above = [room[v] & ~((2 << v) - 1) for v in range(graph.n)] if a == b and a else None
 
     def moves(bits: int) -> list[int]:
         ends = _ends(bits, inc, low, high)
         out: list[int] = []
-        for picks in shapes:
+        if above is None:
             _flips(out, bits, full, picks, ends, room, inc)
+            return out
+        src = ends[0]
+        while src:
+            bit = src & -src
+            src ^= bit
+            v = bit.bit_length() - 1
+            _flips(out, bits ^ inc[v], above[v], picks[1:], ends, room, inc)
         return out
 
     return moves
@@ -441,25 +464,34 @@ def _move_classes(
     graph: Graph, a: int, b: int, local: bool, acyclic: list[int]
 ) -> list[tuple[int, ...]]:
     """Close the sorted acyclic direction vectors under (a, b, local)-flips;
-    the classes come as sorted bit tuples in order of least member."""
+    the classes come as sorted bit tuples in order of least member.
+
+    A union-find over the positions in `acyclic` joins every vector with
+    its one-way moves; a move and its reverse join the same pair, so the
+    sets are the classes of the two-way closure.  Grouping the vectors in
+    ascending order opens each class at its least member and appends the
+    rest in order."""
     moves = _flip_moves(graph, a, b, local)
-    members_of = set(acyclic)
-    assigned: set[int] = set()
-    classes: list[tuple[int, ...]] = []
-    for start in acyclic:
-        if start in assigned:
-            continue
-        members = {start}
-        queue = [start]
-        for cur in queue:
-            for nxt in moves(cur):
-                assert nxt in members_of, "flip move broke acyclicity"
-                if nxt not in members:
-                    members.add(nxt)
-                    queue.append(nxt)
-        assigned |= members
-        classes.append(tuple(sorted(members)))
-    return classes
+    index = {bits: i for i, bits in enumerate(acyclic)}
+    parent = list(range(len(acyclic)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, bits in enumerate(acyclic):
+        root = find(i)
+        for nxt in moves(bits):
+            j = index.get(nxt)
+            assert j is not None, "flip move broke acyclicity"
+            other = find(j)
+            if other != root:
+                parent[other] = root
+    classes: dict[int, list[int]] = {}
+    for i, bits in enumerate(acyclic):
+        classes.setdefault(find(i), []).append(bits)
+    return [tuple(group) for group in classes.values()]
 
 
 def _independent_sets(adj: tuple[int, ...], mask: int, k: int, memo: dict) -> list[int]:
@@ -503,7 +535,7 @@ def partition_by_moves(
     b: int | None = None,
 ) -> OrientationPartition:
     """Group the acyclic orientations into classes reachable by the chosen
-    move kind, via breadth-first closure (no symmetry shortcuts).  Kinds
+    move kind, via a union-find closure (no symmetry shortcuts).  Kinds
     are (a, b, local) flips; ab_flip takes a and b from the caller.  The
     closure visits each of the T(2, 0) acyclic orientations once and tries
     its flip selections, so it refuses up front when T(2, 0) times one

@@ -366,6 +366,26 @@ def test_decide_answers_sparse_large_pairs_in_bounded_time(capsys):
             assert json.loads(out)["status"] == "unknown", (n, x, y)
 
 
+def test_tutte_and_structure_commands_answer_or_refuse_in_bounded_time(capsys):
+    # Seeded G(n, 1/2) and G(n, 0.15) at n = 16, 30, 40: every Tutte
+    # evaluation either answers or meets the memo-node cap (exit 3).
+    for n in (16, 30, 40):
+        for p in (0.5, 0.15):
+            rng = random.Random(f"{n}:{p}")
+            g = Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p])
+            spec = json.dumps(graph_to_json_dict(g))
+            for argv in (
+                ("tutte", "eval", "--g", spec, "--x", "2", "--y", "0"),
+                ("tutte", "eval", "--g", spec, "--x", "1", "--y", "1"),
+                ("path", "structure", "--y", spec),
+                ("cycle", "structure", "--y", spec),
+            ):
+                start = time.perf_counter()
+                code, _, _ = run_cli(capsys, *argv)
+                assert time.perf_counter() - start < 10, (n, p, argv[:2], argv[4:])
+                assert code in (0, 3), (n, p, argv[:2], argv[4:])
+
+
 def test_oracle_sweep_refuses_past_eight_vertices(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "oracle-sweep", "--max-n", "9")

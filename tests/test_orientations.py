@@ -600,9 +600,12 @@ def test_partition_matches_orientation_closure():
 
 
 def test_flip_generator_agrees_with_ab_flip():
-    # For every (a, b, local) flip, the generator's moves of an orientation
-    # are exactly its legal ab_flip calls (one per choice of vertices, local
-    # ones inside one component), and every illegal call raises.
+    # For every (a, b, local) flip, the one-way generator's moves of an
+    # orientation are exactly its legal ab_flip calls of the kept direction:
+    # a sources and b sinks, and when a == b the least chosen vertex a
+    # source (one per choice of vertices, local ones inside one component).
+    # Every legal call of the other direction is the reverse of a generated
+    # move of its image, and every illegal call raises.
     graphs = _seeded_graphs(45, [(3, 2), (4, 3), (5, 4), (6, 7), (7, 8), (8, 9), (8, 12)])
     rng = random.Random(46)
     flips = [(0, 1, False), (1, 1, False), (1, 1, True), (0, 0, False), (1, 0, False)]
@@ -616,7 +619,7 @@ def test_flip_generator_agrees_with_ab_flip():
             moves = _flip_moves(g, a, b, local)
             for o in orientations:
                 src, snk = _degree_sources_sinks(o)
-                legal = []
+                kept = []
                 for na, nb in {(a, b), (b, a)}:
                     for us in itertools.combinations(range(1, g.n + 1), na):
                         for vs in itertools.combinations(range(1, g.n + 1), nb):
@@ -630,11 +633,75 @@ def test_flip_generator_agrees_with_ab_flip():
                                 with pytest.raises(InvalidMoveError):
                                     o.ab_flip(us, vs)
                                 continue
-                            bits = o.ab_flip(us, vs).bits
-                            assert bits == _edge_flip(o, chosen)
-                            if not local or len({comp_id[w] for w in chosen}) <= 1:
-                                legal.append(bits)
-                assert sorted(moves(o.bits)) == sorted(legal), (g.edges, o.bits, a, b, local)
+                            image = o.ab_flip(us, vs)
+                            assert image.bits == _edge_flip(o, chosen)
+                            if local and len({comp_id[w] for w in chosen}) > 1:
+                                continue
+                            if (na, nb) == (a, b) and (a != b or not us or min(chosen) in us):
+                                kept.append(image.bits)
+                            else:
+                                assert image.ab_flip(vs, us) == o
+                                assert o.bits in moves(image.bits), (g.edges, o.bits, us, vs)
+                assert sorted(moves(o.bits)) == sorted(kept), (g.edges, o.bits, a, b, local)
+
+
+def _bfs_move_classes(g, a, b, local, acyclic):
+    """Plain breadth-first closure under two-way (a, b, local)-flips, with
+    the moves listed from the direction bits alone: classes as sorted bit
+    tuples in order of least member."""
+    comp_id = {v - 1: i for i, comp in enumerate(structure_report(g).components) for v in comp}
+    edge_bits = [0] * g.n
+    for t, (u, w) in enumerate(g._edges):
+        edge_bits[u] |= 1 << t
+        edge_bits[w] |= 1 << t
+
+    def moves(bits):
+        heads = {w if not bits >> t & 1 else u for t, (u, w) in enumerate(g._edges)}
+        tails = {u if not bits >> t & 1 else w for t, (u, w) in enumerate(g._edges)}
+        src = [v for v in range(g.n) if v not in heads]
+        snk = [v for v in range(g.n) if v not in tails]
+        out = []
+        for na, nb in {(a, b), (b, a)}:
+            for us in itertools.combinations(src, na):
+                for vs in itertools.combinations(snk, nb):
+                    chosen = us + vs
+                    if len(set(chosen)) < len(chosen):
+                        continue
+                    if any(g._adj[u] >> w & 1 for u, w in itertools.combinations(chosen, 2)):
+                        continue
+                    if local and len({comp_id[v] for v in chosen}) > 1:
+                        continue
+                    flipped = bits
+                    for v in chosen:
+                        flipped ^= edge_bits[v]
+                    out.append(flipped)
+        return out
+
+    assigned = set()
+    classes = []
+    for start in acyclic:
+        if start in assigned:
+            continue
+        members = {start}
+        queue = deque([start])
+        while queue:
+            for nxt in moves(queue.popleft()):
+                if nxt not in members:
+                    members.add(nxt)
+                    queue.append(nxt)
+        assigned |= members
+        classes.append(tuple(sorted(members)))
+    return classes
+
+
+def test_union_find_closure_matches_a_breadth_first_closure():
+    sizes = [(n, m) for n in range(2, 9) for m in (n - 1, n + 2, 2 * n) if m <= n * (n - 1) // 2]
+    flips = [(0, 1, False), (1, 1, False), (1, 1, True), (2, 1, False), (2, 2, False), (3, 0, False)]
+    for g in _seeded_graphs(48, sizes):
+        acyclic = [o.bits for o in enumerate_acyclic(g)]
+        for a, b, local in flips:
+            got = _move_classes(g, a, b, local, acyclic)
+            assert got == _bfs_move_classes(g, a, b, local, acyclic), (g.edges, a, b, local)
 
 
 def test_flip_selection_cap_bounds_the_work_per_orientation():

@@ -1,8 +1,21 @@
+import itertools
 import math
 import random
 
+import pytest
+
 from conftest import random_graph, shuffled_copy
-from fsgraph import Graph, build_named, disjoint_union, enumerate_acyclic, partition_by_moves, tutte_eval
+from fsgraph import (
+    Graph,
+    ResourceLimitError,
+    build_named,
+    disjoint_union,
+    enumerate_acyclic,
+    partition_by_moves,
+    structure_report,
+    tutte_eval,
+)
+from fsgraph import tutte
 from fsgraph.iso import enumerate_nonisomorphic
 
 
@@ -179,3 +192,70 @@ def test_matches_the_reference_on_graphs_with_several_components():
         assert 0 in g.degrees()
         for x, y in ((2, 0), (1, 0), (2, 2), (0, 3)):
             assert tutte_eval(g, x, y) == _reference_tutte(g, x, y), (g.edges, x, y)
+
+
+def _seeded_connected(seed, sizes):
+    """One random connected labelled graph per (n, m) in sizes: a random
+    spanning tree plus m - n + 1 further random edges."""
+    rng = random.Random(seed)
+    out = []
+    for n, m in sizes:
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        tree = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+        others = [e for e in itertools.combinations(range(1, n + 1), 2) if e not in tree]
+        out.append(Graph(n, sorted(tree) + rng.sample(others, m - n + 1)))
+    return out
+
+
+def test_matches_the_reference_on_seeded_connected_graphs():
+    sizes = [(7, 9), (7, 14), (8, 11), (8, 17), (9, 13), (9, 18), (10, 14), (10, 20)]
+    for g in _seeded_connected(47, sizes):
+        assert structure_report(g).is_connected
+        for x, y in REFERENCE_POINTS:
+            assert tutte_eval(g, x, y) == _reference_tutte(g, x, y), (g.edges, x, y)
+
+
+def _wheel(spokes: int) -> Graph:
+    rim = [(i, i % spokes + 1) for i in range(1, spokes + 1)]
+    return Graph(spokes + 1, rim + [(i, spokes + 1) for i in range(1, spokes + 1)])
+
+
+def _largest_class(g: Graph) -> int:
+    """The largest parallel class in any multigraph the (1, 1) recursion
+    memoised."""
+    rec = tutte._Recursion(1, 1, g.edge_count)
+    low = [0] * g.n
+    for a, b in g._edges:
+        low[b] |= 1 << a
+    rec.eval(tuple(low), (0,) * g.n)
+    largest = 0
+    for _, rows in rec.memo:
+        for row in rows:
+            while row:
+                largest = max(largest, row & (1 << rec.width) - 1)
+                row >>= rec.width
+    return largest + 1
+
+
+def test_matches_the_reference_where_contractions_build_large_parallel_classes():
+    graphs = [_wheel(5), _wheel(6), build_named("complete", 6)]
+    graphs.append(build_named("complete_bipartite", 7, k=3))
+    for g in graphs:
+        assert _largest_class(g) >= 3, g.edges
+        for x, y in REFERENCE_POINTS:
+            assert tutte_eval(g, x, y) == _reference_tutte(g, x, y), (g.edges, x, y)
+
+
+def test_node_cap_counts_memoised_multigraphs(monkeypatch):
+    # A triangle stores 3 multigraphs at (2, 0), K_6 stores 15.
+    monkeypatch.setattr(tutte, "DEFAULT_TUTTE_NODE_CAP", 10)
+    assert tutte_eval(build_named("complete", 3), 2, 0) == 6
+    with pytest.raises(ResourceLimitError, match="cap of 10 recursion nodes"):
+        tutte_eval(build_named("complete", 6), 2, 0)
+
+
+def test_recursion_deeper_than_the_interpreter_allows_is_refused():
+    assert tutte_eval(build_named("path", 500), 2, 0) == 2**499
+    with pytest.raises(ResourceLimitError, match="recursion depth"):
+        tutte_eval(build_named("path", 1200), 2, 0)
