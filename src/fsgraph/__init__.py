@@ -13,22 +13,17 @@ from .fscore import (
     FSInstance,
     component_of,
     components,
-    decomposition_check,
     friendly_neighbors,
-    incidence_matrix_count,
-    inverse_isomorphism_check,
     is_connected,
 )
 from .graphs import (
     Graph,
-    ProlongationWitness,
     StructureReport,
     build_named,
     delete_vertex,
     disjoint_union,
     has_hamiltonian_path,
     induced_subgraph,
-    is_prolongation,
     structure_report,
 )
 from .orientations import (
@@ -36,11 +31,9 @@ from .orientations import (
     OrientationPartition,
     enumerate_acyclic,
     linear_extensions,
-    linear_extensions_of_class,
     orientation_from_permutation,
     partition_by_moves,
     phi,
-    toggle,
 )
 from .perms import Permutation
 from .theorems import (
@@ -52,7 +45,6 @@ from .theorems import (
     StarStructure,
     cut_path_certificate,
     cycle_fs_structure,
-    cycle_is_connected,
     decide_connectivity,
     hereditary_sufficiency,
     path_fs_structure,
@@ -71,14 +63,12 @@ __all__ = [
     "ResourceLimitError",
     "Graph",
     "StructureReport",
-    "ProlongationWitness",
     "build_named",
     "structure_report",
     "induced_subgraph",
     "delete_vertex",
     "disjoint_union",
     "has_hamiltonian_path",
-    "is_prolongation",
     "Permutation",
     "Orientation",
     "OrientationPartition",
@@ -86,8 +76,6 @@ __all__ = [
     "enumerate_acyclic",
     "partition_by_moves",
     "linear_extensions",
-    "linear_extensions_of_class",
-    "toggle",
     "phi",
     "FSInstance",
     "ComponentReport",
@@ -95,9 +83,6 @@ __all__ = [
     "component_of",
     "components",
     "is_connected",
-    "inverse_isomorphism_check",
-    "incidence_matrix_count",
-    "decomposition_check",
     "ConnectivityVerdict",
     "PathStructure",
     "CycleStructure",
@@ -107,7 +92,6 @@ __all__ = [
     "tutte_eval",
     "path_fs_structure",
     "cycle_fs_structure",
-    "cycle_is_connected",
     "star_fs_structure",
     "cut_path_certificate",
     "decide_connectivity",

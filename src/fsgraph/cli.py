@@ -36,7 +36,14 @@ from .fscore import (
 from .graphio import parse_graph, to_dot
 from .graphs import NAMED_FAMILIES, Graph, build_named
 from .iso import enumerate_nonisomorphic
-from .orientations import PARTITION_KINDS, _check_edge_cap, enumerate_acyclic, partition_by_moves, phi
+from .orientations import (
+    PARTITION_KINDS,
+    Orientation,
+    _acyclic_bits,
+    _check_closure_cap,
+    partition_by_moves,
+    phi,
+)
 from .perms import Permutation
 from .theorems import (
     cycle_fs_structure,
@@ -191,11 +198,11 @@ def _cmd_star_structure(args, config: RunConfig):
 
 def _cmd_acyc_enumerate(args, config: RunConfig):
     g = read_graph(args.g)
-    _check_edge_cap(g)
     count = tutte_eval(g, 2, 0)   # T(2, 0) counts them without listing
     payload: dict = {"count": count}
     if count <= config.listing_cap:
-        payload["orientations"] = [str(o) for o in enumerate_acyclic(g)]
+        _check_closure_cap(count)
+        payload["orientations"] = [str(Orientation(g, bits)) for bits in _acyclic_bits(g)]
     else:
         payload["orientations"] = None
         payload["orientations_error"] = (

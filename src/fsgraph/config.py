@@ -16,11 +16,9 @@ from .errors import InvalidArgumentError
 
 DEFAULT_STATE_CAP = 400_000      # max explored FS(X,Y) vertices; 9! fits
 DEFAULT_LISTING_CAP = 10_000     # max permutations listed in reports
-DEFAULT_EDGE_CAP = 24            # max edges for orientation enumeration
-DEFAULT_CLOSURE_CAP = 100_000    # max acyclic orientations x (1 + flip selections) in a flip closure
+DEFAULT_CLOSURE_CAP = 100_000    # max acyclic orientations x (1 + flip selections) in a closure or listing
 DEFAULT_TUTTE_NODE_CAP = 100_000   # max memoised multigraphs in one Tutte evaluation
 DEFAULT_EXTENSION_VERTEX_CAP = 10   # max n for linear-extension listings
-DEFAULT_PROLONGATION_VERTEX_CAP = 12
 DEFAULT_HEREDITARY_BASE = 5      # brute-force floor of the hereditary recursion
 DEFAULT_HEREDITARY_NODE_BUDGET = 2_000   # max pairs one hereditary recursion expands
 

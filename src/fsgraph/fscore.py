@@ -27,7 +27,7 @@ from operator import itemgetter
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import InvalidArgumentError, ResourceLimitError
-from .graphs import Graph, _component_masks, induced_subgraph, structure_report
+from .graphs import Graph, _component_masks
 from .iso import _automorphism_generators
 from .perms import Permutation
 
@@ -278,30 +278,15 @@ def component_count(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> int
     return sum(1 for _ in iter_component_states(inst, config))
 
 
-def inverse_isomorphism_check(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> bool:
-    """Verify that inversion maps the edges of FS(X, Y) bijectively onto the
-    edges of FS(Y, X)."""
-    _check_statespace(inst.n, config)
-    flipped = FSInstance(inst.y, inst.x)
-    forward_half_edges = 0
-    backward_half_edges = 0
-    for word in itertools.permutations(range(inst.n)):
-        state = bytes(word)
-        image = _state_of(_perm_of(state).inverse())
-        neighbors = _expand(inst, state)
-        image_neighbors = set(_expand(flipped, image))
-        forward_half_edges += len(neighbors)
-        backward_half_edges += len(image_neighbors)
-        for nb in neighbors:
-            if _state_of(_perm_of(nb).inverse()) not in image_neighbors:
-                return False
-    return forward_half_edges == backward_half_edges
-
-
 # -- cut-vertex incidence matrices --------------------------------------------
 
 
 def _count_margin_matrices(rows: tuple[int, ...], cols: tuple[int, ...], memo: dict) -> int:
+    """Number of nonnegative integer matrices with row sums `rows` and
+    column sums `cols`.  With the component sizes of X - x0 and Y - y0 as
+    margins (x0, y0 cut vertices), this counts the reachability classes
+    the two cut vertices freeze, a lower bound on the components of
+    FS(X, Y)."""
     if not rows:
         return 1 if all(c == 0 for c in cols) else 0
     key = (rows, tuple(sorted(cols)))
@@ -328,82 +313,10 @@ def _count_margin_matrices(rows: tuple[int, ...], cols: tuple[int, ...], memo: d
     return total
 
 
-def incidence_matrix_count(x: Graph, y: Graph, x0: int, y0: int) -> int:
-    """Number of nonnegative integer matrices whose row sums are the
-    component sizes of X - x0 and whose column sums are those of Y - y0.
-    This counts the reachability classes frozen by the two cut vertices, a
-    lower bound on the number of components of FS(X, Y)."""
-    if x.n != y.n:
-        raise InvalidArgumentError("X and Y must have the same number of vertices")
-    rx = structure_report(x)
-    ry = structure_report(y)
-    if x0 not in rx.cut_vertices:
-        raise InvalidArgumentError(f"vertex {x0} is not a cut vertex of X")
-    if y0 not in ry.cut_vertices:
-        raise InvalidArgumentError(f"vertex {y0} is not a cut vertex of Y")
-    row_sums = _deleted_component_sizes(x, x0)
-    col_sums = _deleted_component_sizes(y, y0)
-    return _count_margin_matrices(tuple(row_sums), tuple(col_sums), {})
-
-
 def _deleted_component_sizes(g: Graph, v: int) -> tuple[int, ...]:
     """Component sizes of g minus vertex v, in order of least vertex."""
     rest = ((1 << g.n) - 1) & ~(1 << (v - 1))
     return tuple(m.bit_count() for m in _component_masks(g._adj, rest))
-
-
-# -- component-count identity for disconnected X ------------------------------
-
-
-def _ordered_set_partitions(universe: tuple[int, ...], sizes: tuple[int, ...]):
-    if not sizes:
-        yield ()
-        return
-    first, rest = sizes[0], sizes[1:]
-    for chosen in itertools.combinations(universe, first):
-        chosen_set = set(chosen)
-        remaining = tuple(v for v in universe if v not in chosen_set)
-        for tail in _ordered_set_partitions(remaining, rest):
-            yield (chosen,) + tail
-
-
-def decomposition_check(x: Graph, y: Graph, config: RunConfig = DEFAULT_CONFIG) -> bool:
-    """Check the component-count identity that splits FS(X, Y) along the
-    components of a disconnected X: the total equals the sum, over ordered
-    set partitions of V(Y) with matching sizes, of the product of the
-    factor component counts."""
-    if x.n != y.n:
-        raise InvalidArgumentError("X and Y must have the same number of vertices")
-    rx = structure_report(x)
-    if rx.is_connected:
-        raise InvalidArgumentError("decomposition check needs a disconnected X")
-    direct = component_count(FSInstance(x, y), config)
-
-    factors = []
-    for comp in rx.components:
-        sub, _ = induced_subgraph(x, comp)
-        factors.append(sub)
-    sizes = tuple(g.n for g in factors)
-
-    cache: dict[tuple, int] = {}
-
-    def factor_count(xi: Graph, members: tuple[int, ...]) -> int:
-        sub_y, _ = induced_subgraph(y, members)
-        key = (xi.edges, xi.n, sub_y._adj)
-        if key not in cache:
-            cache[key] = component_count(FSInstance(xi, sub_y), config)
-        return cache[key]
-
-    total = 0
-    universe = tuple(range(1, y.n + 1))
-    for parts in _ordered_set_partitions(universe, sizes):
-        product = 1
-        for xi, members in zip(factors, parts):
-            product *= factor_count(xi, members)
-            if product == 0:
-                break
-        total += product
-    return total == direct
 
 
 # -- DOT export ----------------------------------------------------------------

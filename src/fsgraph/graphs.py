@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from .config import DEFAULT_PROLONGATION_VERTEX_CAP
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError
 
 NAMED_FAMILIES = (
     "complete",
@@ -384,7 +383,7 @@ def structure_report(g: Graph) -> StructureReport:
     return report
 
 
-# -- Hamiltonian paths and prolongations -------------------------------------
+# -- Hamiltonian paths ----------------------------------------------------------
 
 
 def _hamiltonian_paths(adj: tuple[int, ...]):
@@ -427,47 +426,4 @@ def has_hamiltonian_path(g: Graph) -> tuple[int, ...] | None:
     """First Hamiltonian path in deterministic search order, or None."""
     for path in iter_hamiltonian_paths(g):
         return path
-    return None
-
-
-@dataclass(frozen=True)
-class ProlongationWitness:
-    embedding: dict[int, int]          # vertex of the small graph -> vertex of the big one
-    hamiltonian_path: tuple[int, ...]  # path of the big graph containing the embedded copy
-
-
-def is_prolongation(big: Graph, small: Graph) -> ProlongationWitness | None:
-    """Witness that ``big`` extends a copy of ``small`` along a Hamiltonian path.
-
-    Concretely: a Hamiltonian path of ``big`` together with a window of
-    |V(small)| consecutive path vertices that carry an embedded copy of
-    ``small`` traversed along one of its own Hamiltonian paths.
-    """
-    if big.n < small.n:
-        raise InvalidArgumentError("the prolongation must have at least as many vertices")
-    if big.n > DEFAULT_PROLONGATION_VERTEX_CAP:
-        raise ResourceLimitError(
-            f"prolongation search capped at {DEFAULT_PROLONGATION_VERTEX_CAP} vertices,"
-            f" got {big.n}"
-        )
-    small_paths = list(iter_hamiltonian_paths(small))
-    if not small_paths:
-        raise InvalidArgumentError("the base graph has no Hamiltonian path")
-    k = small.n
-    # Per candidate traversal of the small graph, its edges as position pairs.
-    placed: list[tuple[tuple[int, ...], list[tuple[int, int]]]] = []
-    for sp in small_paths:
-        pos = {v: t for t, v in enumerate(sp)}
-        placed.append((sp, [(pos[a + 1], pos[b + 1]) for a, b in small._edges]))
-    big_adj = big._adj
-    for big_path in iter_hamiltonian_paths(big):
-        for offset in range(big.n - k + 1):
-            window = big_path[offset : offset + k]
-            for sp, edge_positions in placed:
-                if all(
-                    big_adj[window[pa] - 1] >> (window[pb] - 1) & 1
-                    for pa, pb in edge_positions
-                ):
-                    embedding = {sp[t]: window[t] for t in range(k)}
-                    return ProlongationWitness(embedding=embedding, hamiltonian_path=big_path)
     return None

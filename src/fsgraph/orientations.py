@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .config import DEFAULT_CLOSURE_CAP, DEFAULT_EDGE_CAP, DEFAULT_EXTENSION_VERTEX_CAP
+from .config import DEFAULT_CLOSURE_CAP, DEFAULT_EXTENSION_VERTEX_CAP
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
 from .graphs import Graph, _component_masks, _mask_to_vertices
 from .perms import Permutation
@@ -246,10 +246,14 @@ def _ends(bits: int, inc, low, high) -> tuple[int, int]:
     return src, snk
 
 
-def _check_edge_cap(graph: Graph) -> None:
-    if graph.edge_count > DEFAULT_EDGE_CAP:
+def _check_closure_cap(count: int, selections: int = 0, flip: tuple[int, int] = (0, 0)) -> None:
+    """Refuse a closure over `count` acyclic orientations that tries
+    `selections` flip selections at each, when count * (1 + selections)
+    exceeds DEFAULT_CLOSURE_CAP.  A listing is a closure with no selections."""
+    if count * (1 + selections) > DEFAULT_CLOSURE_CAP:
+        each = f" with {selections} {flip}-flip selections each" if selections else ""
         raise ResourceLimitError(
-            f"{graph.edge_count} edges exceeds the enumeration cap of {DEFAULT_EDGE_CAP}"
+            f"{count} acyclic orientations exceed the cap of {DEFAULT_CLOSURE_CAP} closure steps{each}"
         )
 
 
@@ -286,8 +290,9 @@ def _acyclic_bits(graph: Graph) -> list[int]:
 
 
 def enumerate_acyclic(graph: Graph) -> tuple[Orientation, ...]:
-    """All acyclic orientations, sorted by direction bit vector."""
-    _check_edge_cap(graph)
+    """All acyclic orientations, sorted by direction bit vector; refused up
+    front when their count T(2, 0) exceeds DEFAULT_CLOSURE_CAP."""
+    _check_closure_cap(tutte_eval(graph, 2, 0))
     return tuple(Orientation(graph, bits) for bits in _acyclic_bits(graph))
 
 
@@ -515,8 +520,11 @@ def _flip_selections(graph: Graph, a: int, b: int) -> int:
     """Ways to pick the vertices one (a, b)-flip could flip in some
     orientation: a + b pairwise distinct, non-adjacent vertices, split into
     a sources and b sinks (or, when a != b, b sources and a sinks).
-    Isolated vertices are counted in one binomial, so only the at most
-    2 * DEFAULT_EDGE_CAP vertices with edges are split."""
+    Isolated vertices are counted in one binomial, so only the vertices
+    with edges are split.  Callers count first: T(2, 0) >= 2^(n - c) for
+    c components (deleting a non-bridge edge never raises the count), so a
+    count within DEFAULT_CLOSURE_CAP leaves at most 16 forest edges and at
+    most 32 vertices with edges."""
     k = a + b
     if k > graph.n:
         return 0
@@ -536,23 +544,21 @@ def partition_by_moves(
 ) -> OrientationPartition:
     """Group the acyclic orientations into classes reachable by the chosen
     move kind, via a union-find closure (no symmetry shortcuts).  Kinds
-    are (a, b, local) flips; ab_flip takes a and b from the caller.  The
+    are (a, b, local) flips; only ab_flip takes a and b from the caller.  The
     closure visits each of the T(2, 0) acyclic orientations once and tries
     its flip selections, so it refuses up front when T(2, 0) times one
     plus the selections exceeds DEFAULT_CLOSURE_CAP."""
     if kind not in _KINDS:
         raise InvalidArgumentError(f"kind must be one of {PARTITION_KINDS}, got {kind!r}")
+    if kind != "ab_flip" and (a, b) != (None, None):
+        raise InvalidArgumentError(f"{kind} takes no sizes a and b")
     flip_a, flip_b, local = _KINDS[kind] or (a, b, False)
     if flip_a is None or flip_b is None or flip_a < 0 or flip_b < 0:
         raise InvalidArgumentError("ab_flip needs non-negative sizes a and b")
-    _check_edge_cap(graph)
-    selections = _flip_selections(graph, flip_a, flip_b)
     count = tutte_eval(graph, 2, 0)   # T(2, 0): the orientations the closure visits
-    if count * (1 + selections) > DEFAULT_CLOSURE_CAP:
-        raise ResourceLimitError(
-            f"{count} acyclic orientations exceed the cap of {DEFAULT_CLOSURE_CAP} closure "
-            f"steps with {selections} ({flip_a}, {flip_b})-flip selections each"
-        )
+    _check_closure_cap(count)   # first, since it bounds the work of _flip_selections
+    selections = _flip_selections(graph, flip_a, flip_b)
+    _check_closure_cap(count, selections, (flip_a, flip_b))
     classes = _move_classes(graph, flip_a, flip_b, local, _acyclic_bits(graph))
     orientations = tuple(tuple(Orientation(graph, bits) for bits in cls) for cls in classes)
     return OrientationPartition(graph, kind, orientations, a=a, b=b)
@@ -589,54 +595,16 @@ def linear_extensions(o: Orientation) -> frozenset[Permutation]:
     return frozenset(out)
 
 
-def linear_extensions_of_class(orientations) -> frozenset[Permutation]:
-    """Union of the linear extensions over a class of orientations.  The
-    union is disjoint: each permutation extends exactly one orientation."""
-    result: set[Permutation] = set()
-    for o in orientations:
-        result.update(linear_extensions(o))
-    return frozenset(result)
-
-
-def toggle(o: Orientation, sigma: Permutation, i: int) -> Permutation:
-    """Swap positions i, i+1 when the two entries are order-incomparable in
-    o's reachability order; otherwise return sigma unchanged."""
-    n = o.graph.n
-    if sigma.n != n:
-        raise InvalidArgumentError("permutation length does not match the graph")
-    if not 1 <= i <= n - 1:
-        raise InvalidArgumentError(f"toggle position must be in 1..{n - 1}, got {i}")
-    position = [0] * n
-    for pos, value in enumerate(sigma.word):
-        position[value - 1] = pos
-    for tail, head in o.directed_edges():
-        if position[tail - 1] > position[head - 1]:
-            raise InvalidArgumentError("permutation is not a linear extension of the orientation")
-    reach = o.reachability()
-    x = sigma.word[i - 1] - 1
-    y = sigma.word[i] - 1
-    if reach[x] >> y & 1:
-        return sigma
-    return sigma.apply_transposition(i, i + 1)
-
-
-def phi(partition: OrientationPartition, class_id: int, verify: bool = False) -> int:
+def phi(partition: OrientationPartition, class_id: int) -> int:
     """Advance a double-flip class by turning one source into a sink.
 
     Well-defined on double-flip classes: the landing class does not depend
-    on the member or the source chosen, which ``verify=True`` rechecks
-    exhaustively.
+    on the member or the source chosen, so the first source of the least
+    member is flipped.
     """
     if partition.kind != "double_flip":
         raise InvalidArgumentError("phi acts on double-flip partitions")
     if not 0 <= class_id < partition.class_count:
         raise InvalidArgumentError(f"class id {class_id} out of range")
-    cls = partition.classes[class_id]
-    rep = cls[0]
-    target = partition.class_index(rep.flip(rep.sources()[0]))
-    if verify:
-        for member in cls:
-            for s in member.sources():
-                if partition.class_index(member.flip(s)) != target:
-                    raise AssertionError("phi image depended on the flipped source")
-    return target
+    rep = partition.classes[class_id][0]
+    return partition.class_index(rep.flip(rep.sources()[0]))

@@ -66,7 +66,6 @@ __all__ = [
     "tutte_eval",
     "path_fs_structure",
     "cycle_fs_structure",
-    "cycle_is_connected",
     "star_fs_structure",
     "cut_path_certificate",
     "decide_connectivity",
@@ -164,14 +163,6 @@ def cycle_fs_structure(
         for cls in members
     )
     return CycleStructure(count, nu, toric_count, classes)
-
-
-def cycle_is_connected(y: Graph) -> bool:
-    """FS(Cycle_n, Y) is connected iff the complement of Y is a forest whose
-    tree sizes are setwise coprime."""
-    if y.n < 3:
-        raise InvalidArgumentError(f"the cycle case needs n >= 3, got {y.n}")
-    return _cycle_rule(y)[0]
 
 
 def _cycle_rule(y: Graph) -> tuple[bool, StructureReport]:

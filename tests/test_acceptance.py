@@ -16,6 +16,7 @@ from collections import deque
 
 import pytest
 
+from claims import checked_phi, class_extensions, decomposition_check, margin_count, toggle
 from conftest import FROZEN_CYCLE5_COMPONENT, SPIDER_COMPLEMENT_5, random_graph
 from fsgraph import (
     FSInstance,
@@ -26,22 +27,17 @@ from fsgraph import (
     components,
     cycle_fs_structure,
     decide_connectivity,
-    decomposition_check,
     enumerate_acyclic,
     hereditary_sufficiency,
     is_connected,
     linear_extensions,
-    linear_extensions_of_class,
     orientation_from_permutation,
     partition_by_moves,
     path_fs_structure,
-    phi,
     star_fs_structure,
     structure_report,
-    toggle,
     tutte_eval,
 )
-from fsgraph.fscore import incidence_matrix_count
 from fsgraph.graphs import has_hamiltonian_path
 from fsgraph.iso import enumerate_nonisomorphic, is_cycle_graph
 from fsgraph.theorems import (
@@ -224,7 +220,7 @@ def test_acceptance_disconnection_certificates():
                 if witness is not None:
                     fired["cut_vertex"] += 1
                     assert brute_count() >= 2, (x.edges, y.edges)
-                    assert witness["component_lower_bound"] == incidence_matrix_count(
+                    assert witness["component_lower_bound"] == margin_count(
                         x, y, witness["x_cut_vertex"], witness["y_cut_vertex"]
                     )
                 if (
@@ -235,7 +231,7 @@ def test_acceptance_disconnection_certificates():
                 ):
                     for x0 in rx.cut_vertices:
                         for y0 in ry.cut_vertices:
-                            bound = incidence_matrix_count(x, y, x0, y0)
+                            bound = margin_count(x, y, x0, y0)
                             assert bound >= 2
                             assert bound <= brute_count(), (x.edges, y.edges, x0, y0)
                             margin_checks += 1
@@ -281,7 +277,7 @@ def test_acceptance_flip_class_structure():
                     owners = {double.class_index(o) for o in t_cls}
                     assert len(owners) == nu, (g.edges, nu)
                     counts = {
-                        len(linear_extensions_of_class(double.classes[i])) for i in owners
+                        len(class_extensions(double.classes[i])) for i in owners
                     }
                     assert len(counts) == 1, g.edges
                 if structure_report(g).is_connected:
@@ -292,7 +288,7 @@ def test_acceptance_flip_class_structure():
                         cur = base
                         for _ in range(n):
                             orbit.append(cur)
-                            cur = phi(double, cur, verify=True)
+                            cur = checked_phi(double, cur)
                         assert cur == base
                         covered = sorted(
                             o.bits for i in set(orbit) for o in double.classes[i]

@@ -198,10 +198,15 @@ def test_acyc_partition_refuses_before_enumerating_flip_selections(capsys):
     assert (code, out) == (3, "") and "selections" in err
     code, out, err = run_cli(capsys, "acyc", "partition", "--g", "family:path:3", "--kind", "ab_flip")
     assert (code, out) == (2, "") and "a and b" in err
+    # Only ab_flip takes sizes; every other kind refuses them.
+    for kind in ("toric", "double_flip", "local_double_flip"):
+        for sizes in (("--a", "5", "--b", "7"), ("--a", "0")):
+            code, out, err = run_cli(capsys, "acyc", "partition", "--g", "family:path:3", "--kind", kind, *sizes)
+            assert (code, out) == (2, "") and f"{kind} takes no sizes" in err
 
 
 def test_acyc_partition_refuses_too_many_orientations(capsys):
-    # An 18-edge perfect matching: 2^18 acyclic orientations within the edge cap.
+    # An 18-edge perfect matching: 2^18 acyclic orientations, counted first.
     matching = json.dumps(graph_to_json_dict(Graph(36, [(2 * i + 1, 2 * i + 2) for i in range(18)])))
     for argv in (("partition", "--kind", "toric"), ("phi",)):
         start = time.perf_counter()
@@ -368,7 +373,8 @@ def test_decide_answers_sparse_large_pairs_in_bounded_time(capsys):
 
 def test_tutte_and_structure_commands_answer_or_refuse_in_bounded_time(capsys):
     # Seeded G(n, 1/2) and G(n, 0.15) at n = 16, 30, 40: every Tutte
-    # evaluation either answers or meets the memo-node cap (exit 3).
+    # evaluation, and every acyclic listing or flip closure that counts
+    # with one, either answers or meets a cap (exit 3).
     for n in (16, 30, 40):
         for p in (0.5, 0.15):
             rng = random.Random(f"{n}:{p}")
@@ -379,6 +385,10 @@ def test_tutte_and_structure_commands_answer_or_refuse_in_bounded_time(capsys):
                 ("tutte", "eval", "--g", spec, "--x", "1", "--y", "1"),
                 ("path", "structure", "--y", spec),
                 ("cycle", "structure", "--y", spec),
+                ("acyc", "enumerate", "--g", spec),
+                ("acyc", "partition", "--g", spec, "--kind", "toric"),
+                ("acyc", "partition", "--g", spec, "--kind", "ab_flip", "--a", "2", "--b", "2"),
+                ("acyc", "phi", "--g", spec),
             ):
                 start = time.perf_counter()
                 code, _, _ = run_cli(capsys, *argv)
@@ -421,8 +431,21 @@ def test_acyc_enumerate_counts_before_listing(capsys):
         '{"count": 14, "orientations": null, '
         '"orientations_error": "14 orientations exceed the listing cap of 13"}\n'
     )
-    code, _, err = run_cli(capsys, "acyc", "enumerate", "--g", "family:complete:8")
-    assert code == 3 and "28 edges exceeds the enumeration cap of 24" in err
+    # K_8 has 28 edges and 8! acyclic orientations: counted, and listed
+    # when the listing cap allows.
+    code, out, _ = run_cli(capsys, "acyc", "enumerate", "--g", "family:complete:8")
+    assert code == 0 and out == (
+        '{"count": 40320, "orientations": null, '
+        '"orientations_error": "40320 orientations exceed the listing cap of 10000"}\n'
+    )
+    code, out, _ = run_cli(capsys, "acyc", "enumerate", "--g", "family:complete:8", "--listing-cap", "40320")
+    listed = json.loads(out)["orientations"]
+    k8 = build_named("complete", 8)
+    assert code == 0 and len(set(listed)) == 40320
+    assert all(Orientation.from_string(k8, o).is_acyclic() for o in listed)
+    # A listing cap past the closure cap does not lift it.
+    code, out, err = run_cli(capsys, "acyc", "enumerate", "--g", "family:cycle:20", "--listing-cap", "2000000")
+    assert (code, out) == (3, "") and "1048574 acyclic orientations exceed" in err
 
 
 def _run_captured(argv):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from claims import decomposition_check, margin_count
 from conftest import (
     FROZEN_CYCLE5_COMPONENT,
     SPIDER_COMPLEMENT_5,
@@ -18,23 +19,20 @@ from fsgraph import (
     ComponentReport,
     FSInstance,
     Graph,
-    InvalidArgumentError,
     Permutation,
     ResourceLimitError,
     RunConfig,
     build_named,
     component_of,
     components,
-    decomposition_check,
     disjoint_union,
     friendly_neighbors,
-    incidence_matrix_count,
-    inverse_isomorphism_check,
     is_connected,
     structure_report,
 )
 from fsgraph import fscore, iso
 from fsgraph.fscore import _component_sweep, fs_to_dot
+from fsgraph.theorems import cut_vertex_disconnection
 from fsgraph.iso import enumerate_nonisomorphic
 
 
@@ -172,12 +170,22 @@ def test_component_counts_symmetric_in_roles():
 
 
 def test_inverse_isomorphism_check():
+    # sigma -> sigma^-1 maps the neighbours of sigma in FS(X, Y) onto those
+    # of sigma^-1 in FS(Y, X).
+    def inverse_isomorphism_check(x, y):
+        forward, backward = FSInstance(x, y), FSInstance(y, x)
+        return all(
+            {p.inverse() for p in friendly_neighbors(forward, sigma)}
+            == set(friendly_neighbors(backward, sigma.inverse()))
+            for sigma in map(Permutation, itertools.permutations(range(1, x.n + 1)))
+        )
+
     rng = random.Random(5)
     for _ in range(8):
         n = rng.randint(2, 5)
-        assert inverse_isomorphism_check(FSInstance(random_graph(rng, n), random_graph(rng, n)))
+        assert inverse_isomorphism_check(random_graph(rng, n), random_graph(rng, n))
     g = random_graph(rng, 5)
-    assert inverse_isomorphism_check(FSInstance(g, g))
+    assert inverse_isomorphism_check(g, g)
 
 
 def test_monotonicity_under_edge_addition():
@@ -458,16 +466,19 @@ def test_large_instance_is_refused_before_any_search():
 
 def test_margin_matrix_small_counts():
     p3 = build_named("path", 3)
-    assert incidence_matrix_count(p3, p3, 2, 2) == 2
+    assert margin_count(p3, p3, 2, 2) == 2
     p4 = build_named("path", 4)
-    assert incidence_matrix_count(p4, p4, 3, 3) == 2
+    assert margin_count(p4, p4, 3, 3) == 2
 
 
 def test_margin_matrix_requires_cut_vertices():
-    with pytest.raises(InvalidArgumentError):
-        incidence_matrix_count(build_named("cycle", 4), build_named("path", 4), 1, 2)
-    with pytest.raises(InvalidArgumentError):
-        incidence_matrix_count(build_named("path", 4), build_named("path", 4), 1, 2)
+    # The cut-vertex-margins certificate declines unless both sides have one.
+    p4, c4 = build_named("path", 4), build_named("cycle", 4)
+    for x, y in ((c4, p4), (p4, c4)):
+        rx, ry = structure_report(x), structure_report(y)
+        assert cut_vertex_disconnection(x, y, rx, ry) is None
+    witness = cut_vertex_disconnection(p4, p4, structure_report(p4), structure_report(p4))
+    assert witness == {"x_cut_vertex": 2, "y_cut_vertex": 2, "component_lower_bound": 2}
 
 
 def test_margin_matrix_lower_bound_on_components():
@@ -485,7 +496,7 @@ def test_margin_matrix_lower_bound_on_components():
         count = components(FSInstance(x, y)).component_count
         for x0 in cx:
             for y0 in cy:
-                bound = incidence_matrix_count(x, y, x0, y0)
+                bound = margin_count(x, y, x0, y0)
                 assert bound >= 2
                 assert count >= bound
 
@@ -507,8 +518,8 @@ def test_margin_matrix_agrees_with_direct_enumeration():
 
     x = build_named("star", 5)          # deleting the hub leaves sizes (1,1,1,1)
     y = build_named("lollipop", k=2, m=3)   # deleting vertex 2 leaves sizes (1,3)
-    assert incidence_matrix_count(x, y, 5, 2) == brute((1, 1, 1, 1), (1, 3))
-    assert incidence_matrix_count(y, x, 2, 5) == brute((1, 3), (1, 1, 1, 1))
+    assert margin_count(x, y, 5, 2) == brute((1, 1, 1, 1), (1, 3))
+    assert margin_count(y, x, 2, 5) == brute((1, 3), (1, 1, 1, 1))
 
 
 # -- component-count identity for split positions -----------------------------------------
@@ -526,11 +537,6 @@ def test_decomposition_examples():
         disjoint_union(build_named("path", 2), build_named("path", 2)),
         build_named("cycle", 4),
     )
-
-
-def test_decomposition_requires_disconnected_positions():
-    with pytest.raises(InvalidArgumentError):
-        decomposition_check(build_named("path", 3), build_named("path", 3))
 
 
 # -- export ---------------------------------------------------------------------------------

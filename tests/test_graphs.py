@@ -9,13 +9,11 @@ from conftest import SPIDER_COMPLEMENT_5, random_graph
 from fsgraph import (
     Graph,
     InvalidArgumentError,
-    ResourceLimitError,
     build_named,
     delete_vertex,
     disjoint_union,
     has_hamiltonian_path,
     induced_subgraph,
-    is_prolongation,
     structure_report,
 )
 from fsgraph.graphs import _drop_vertex, _hamiltonian_paths, iter_hamiltonian_paths
@@ -339,48 +337,3 @@ def test_mask_paths_match_iter_hamiltonian_paths():
                 if all(g.has_edge(order[i], order[i + 1]) for i in range(n - 1))
             ]
             assert shifted == brute
-
-
-# -- prolongations --------------------------------------------------------------------
-
-
-def test_lollipop_prolongs_triangle():
-    for n in (4, 5, 6):
-        w = is_prolongation(build_named("lollipop", k=n - 3, m=3), build_named("complete", 3))
-        assert w is not None
-        emb = w.embedding
-        assert len(set(emb.values())) == 3
-
-
-def test_identity_prolongation():
-    g = build_named("path", 4)
-    w = is_prolongation(g, g)
-    assert w is not None
-
-
-def test_star_does_not_prolong_triangle():
-    assert is_prolongation(build_named("star", 5), build_named("complete", 3)) is None
-
-
-def test_prolongation_needs_base_hamiltonian_path():
-    with pytest.raises(InvalidArgumentError):
-        is_prolongation(build_named("complete", 5), build_named("star", 4))
-
-
-def test_prolongation_search_past_its_cap_is_a_resource_limit():
-    with pytest.raises(ResourceLimitError, match="capped at 12 vertices, got 13"):
-        is_prolongation(build_named("path", 13), build_named("path", 3))
-
-
-def test_prolongation_witness_is_consistent():
-    big = build_named("lollipop", k=2, m=3)
-    small = build_named("complete", 3)
-    w = is_prolongation(big, small)
-    assert w is not None
-    # The witness path must be a Hamiltonian path of the big graph...
-    p = w.hamiltonian_path
-    assert sorted(p) == list(range(1, big.n + 1))
-    assert all(big.has_edge(p[i], p[i + 1]) for i in range(big.n - 1))
-    # ...and the embedding must carry every edge of the small graph.
-    for a, b in small.edges:
-        assert big.has_edge(w.embedding[a], w.embedding[b])

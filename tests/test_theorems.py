@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from claims import class_extensions
 from conftest import (
     SPIDER_COMPLEMENT_5,
     SPIDER_TREE_5,
@@ -21,7 +22,6 @@ from fsgraph import (
     components,
     cut_path_certificate,
     cycle_fs_structure,
-    cycle_is_connected,
     decide_connectivity,
     disjoint_union,
     hereditary_sufficiency,
@@ -38,12 +38,7 @@ from fsgraph.graphs import (
     iter_hamiltonian_paths,
 )
 from fsgraph.iso import enumerate_nonisomorphic, refined_form
-from fsgraph.orientations import (
-    enumerate_acyclic,
-    linear_extensions,
-    linear_extensions_of_class,
-    partition_by_moves,
-)
+from fsgraph.orientations import enumerate_acyclic, linear_extensions, partition_by_moves
 from fsgraph import theorems
 from fsgraph.theorems import HereditaryResult, _path_minor
 
@@ -101,7 +96,7 @@ def test_listings_match_orientations_and_their_extensions():
         cycle = cycle_fs_structure(y, include_classes=True)
         double = partition_by_moves(comp, "double_flip")
         assert cycle.classes == tuple(
-            (cls, linear_extensions_of_class(cls)) for cls in double.classes
+            (cls, class_extensions(cls)) for cls in double.classes
         )
 
 
@@ -153,6 +148,11 @@ def test_cycle_count_grows_with_complement_cycles():
 
 
 def test_cycle_connectivity_characterization():
+    def cycle_is_connected(y):
+        verdict = decide_connectivity(build_named("cycle", y.n), y)
+        assert verdict.theorem == "cycle-complement-forest"
+        return verdict.status == "connected"
+
     # Complement a spanning tree: gcd equals n, never connected.
     for n in (3, 4, 5, 6):
         y = build_named("path", n).complement()
@@ -166,8 +166,6 @@ def test_cycle_connectivity_characterization():
 def test_cycle_structure_requires_three_vertices():
     with pytest.raises(InvalidArgumentError):
         cycle_fs_structure(build_named("complete", 2))
-    with pytest.raises(InvalidArgumentError):
-        cycle_is_connected(build_named("complete", 2))
 
 
 def test_cycle_count_matches_brute_force_small():
