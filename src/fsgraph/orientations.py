@@ -44,6 +44,15 @@ class Orientation:
         self.bits = bits
         self._reach: tuple[int, ...] | None = None
 
+    @classmethod
+    def _from_bits(cls, graph: Graph, bits: int) -> "Orientation":
+        # Trusted fast path: callers guarantee 0 <= bits < 2 ** graph.edge_count.
+        o = object.__new__(cls)
+        o.graph = graph
+        o.bits = bits
+        o._reach = None
+        return o
+
     # -- directions --------------------------------------------------------
 
     def directed_edges(self) -> tuple[tuple[int, int], ...]:
@@ -66,9 +75,17 @@ class Orientation:
         return out
 
     def _masks(self) -> tuple[list[int], int, int]:
-        """Incident-edge masks per vertex, and the source and sink masks."""
+        """Incident-edge masks per vertex, and the source and sink masks.
+        A clear bit points low -> high, so v is a source exactly when the
+        set bits among its edges are those where v is the high endpoint."""
         inc, low, high = _incidence(self.graph)
-        src, snk = _ends(self.bits, inc, low, high)
+        src = snk = 0
+        for v, e in enumerate(inc):
+            d = self.bits & e
+            if d == high[v]:
+                src |= 1 << v
+            if d == low[v]:
+                snk |= 1 << v
         return inc, src, snk
 
     def sources(self) -> tuple[int, ...]:
@@ -232,20 +249,6 @@ def _incidence(graph: Graph) -> tuple[list[int], list[int], list[int]]:
     return [lo | hi for lo, hi in zip(low, high)], low, high
 
 
-def _ends(bits: int, inc, low, high) -> tuple[int, int]:
-    """Source and sink masks of the orientation with direction bits `bits`.
-    A clear bit points low -> high, so v is a source exactly when the set
-    bits among its edges are those where v is the high endpoint."""
-    src = snk = 0
-    for v, e in enumerate(inc):
-        d = bits & e
-        if d == high[v]:
-            src |= 1 << v
-        if d == low[v]:
-            snk |= 1 << v
-    return src, snk
-
-
 def _check_closure_cap(count: int, selections: int = 0, flip: tuple[int, int] = (0, 0)) -> None:
     """Refuse a closure over `count` acyclic orientations that tries
     `selections` flip selections at each, when count * (1 + selections)
@@ -254,6 +257,21 @@ def _check_closure_cap(count: int, selections: int = 0, flip: tuple[int, int] = 
         each = f" with {selections} {flip}-flip selections each" if selections else ""
         raise ResourceLimitError(
             f"{count} acyclic orientations exceed the cap of {DEFAULT_CLOSURE_CAP} closure steps{each}"
+        )
+
+
+def _check_forest_rank(graph: Graph) -> None:
+    """Refuse before T(2, 0) is taken when its lower bound 2^(n - c) for c
+    components already exceeds DEFAULT_CLOSURE_CAP: a spanning forest has
+    n - c edges, and each of its 2^(n - c) orientations extends to an
+    acyclic one (orient the other edges along a topological order of the
+    forest's).  The bound is exact on forests.  The check costs one
+    component search, where the Tutte evaluation may fill its memo first."""
+    rank = graph.n - len(_component_masks(graph._adj, (1 << graph.n) - 1))
+    if 1 << rank > DEFAULT_CLOSURE_CAP:
+        least = "" if rank == graph.edge_count else "at least "
+        raise ResourceLimitError(
+            f"{least}{1 << rank} acyclic orientations exceed the cap of {DEFAULT_CLOSURE_CAP} closure steps"
         )
 
 
@@ -292,8 +310,9 @@ def _acyclic_bits(graph: Graph) -> list[int]:
 def enumerate_acyclic(graph: Graph) -> tuple[Orientation, ...]:
     """All acyclic orientations, sorted by direction bit vector; refused up
     front when their count T(2, 0) exceeds DEFAULT_CLOSURE_CAP."""
+    _check_forest_rank(graph)
     _check_closure_cap(tutte_eval(graph, 2, 0))
-    return tuple(Orientation(graph, bits) for bits in _acyclic_bits(graph))
+    return tuple(map(Orientation._from_bits, itertools.repeat(graph), _acyclic_bits(graph)))
 
 
 # The n! vertex orders of [n] as Permutations in lexicographic order, kept
@@ -395,73 +414,68 @@ class OrientationPartition:
         return data
 
 
-def _flips(out: list, bits: int, free: int, picks, ends, room, inc, pool=-1, cand=0) -> None:
-    """Append to `out` every flip of `bits` that takes one vertex of
-    ``ends[p]`` per entry p of `picks` (0: the sources, 1: the sinks).  A
-    pool is picked in increasing order: `cand` is what is left of `pool`
-    above its last pick.  Every pick narrows `free` by its `room`."""
-    if not picks:
-        out.append(bits)
-        return
-    if picks[0] != pool:
-        pool, cand = picks[0], ends[picks[0]]
-    cand &= free
-    rest = picks[1:]
-    if not rest:
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            out.append(bits ^ inc[bit.bit_length() - 1])
+def _independent_tuples(out: list, chosen: tuple, cand: int, room: list, sizes: range) -> None:
+    """Append to `out` every extension of `chosen` by vertices of `cand`,
+    picked in increasing order, whose length lies in `sizes`.  Every pick
+    narrows `cand` to what lies above it and to the pick's `room`."""
+    if len(chosen) in sizes:
+        out.append(chosen)
+    if len(chosen) + 1 >= sizes.stop:
         return
     while cand:
         bit = cand & -cand
         cand ^= bit
         v = bit.bit_length() - 1
-        _flips(out, bits ^ inc[v], free & room[v], rest, ends, room, inc, pool, cand)
+        _independent_tuples(out, chosen + (v,), cand & room[v], room, sizes)
 
 
-def _flip_moves(graph: Graph, a: int, b: int, local: bool):
-    """The one-way (a, b, local)-flip generator of `graph`: a function from
-    direction bits to their flips of a sources and b sinks, one per choice
-    of vertices.
+def _flip_masks(graph: Graph, a: int, b: int, local: bool) -> set[tuple[int, int]]:
+    """The distinct moves of the (a, b, local)-flips of `graph`, one pair
+    (mask, want) each: the orientations with ``bits & mask == want`` are
+    those where the move applies, and it takes them to ``bits ^ mask``.
 
-    The reverse of such a flip flips the b new sources and the a new
-    sinks, so a move and its reverse are never both generated: the moves
-    of b sources and a sinks are left out, and when a == b so are the
-    flips whose least chosen vertex is a sink.  Every move of the closure
-    is still generated from one of its two ends, which is all that
-    `_move_classes` needs.
+    A selection is a + b distinct, pairwise non-adjacent vertices split
+    into a sources and b sinks (inside one component when local).  Its
+    vertices share no edge, so mask is the OR of their incident-edge bits,
+    and want the OR of ``high[u]`` over the sources u and ``low[v]`` over
+    the sinks v.  An isolated vertex is always a source and a sink and
+    flips no edge, so only the vertices with edges are listed; the rest of
+    a selection is any isolated vertices, and a selection of isolated
+    vertices alone (mask 0) moves nothing and is left out.  The reverse
+    of a move is (mask, want ^ mask), the flip of b sources and a sinks
+    that joins the same pairs, so each move is kept once, by its lesser
+    want, and the (b, a) splits need no listing of their own.
     """
+    k = a + b
+    if k > graph.n:
+        return set()
     adj = graph._adj
     inc, low, high = _incidence(graph)
-    full = (1 << graph.n) - 1
-    # room[v]: the vertices a flip that picks v may still pick.
-    room = [full & ~m & ~(1 << v) for v, m in enumerate(adj)]
+    touched = sum(1 << v for v, nbrs in enumerate(adj) if nbrs)
+    # room[v]: the vertices with edges that a selection holding v may still hold.
+    room = [touched & ~m for m in adj]
     if local:
-        for mask in _component_masks(adj, full):
-            for v in _mask_to_vertices(mask):
-                room[v - 1] &= mask
-    # Past n there are no a + b distinct vertices; 0 picks a source, 1 a sink.
-    if a + b > graph.n:
-        return lambda bits: []
-    picks = (0,) * a + (1,) * b
-    # When a == b the least source is picked first and the rest lie above it.
-    above = [room[v] & ~((2 << v) - 1) for v in range(graph.n)] if a == b and a else None
-
-    def moves(bits: int) -> list[int]:
-        ends = _ends(bits, inc, low, high)
-        out: list[int] = []
-        if above is None:
-            _flips(out, bits, full, picks, ends, room, inc)
-            return out
-        src = ends[0]
-        while src:
-            bit = src & -src
-            src ^= bit
-            v = bit.bit_length() - 1
-            _flips(out, bits ^ inc[v], above[v], picks[1:], ends, room, inc)
-        return out
-
+        # Isolated vertices are components of their own: none can join.
+        for comp in _component_masks(adj, touched):
+            for v in _mask_to_vertices(comp):
+                room[v - 1] &= comp
+        least = k
+    else:
+        # Isolated vertices fill up what a pick of vertices with edges leaves.
+        least = max(1, k - (graph.n - touched.bit_count()))
+    picks: list[tuple[int, ...]] = []
+    _independent_tuples(picks, (), touched, room, range(least, k + 1))
+    moves = set()
+    for chosen in picks:
+        mask = 0
+        for v in chosen:
+            mask |= inc[v]
+        for s in range(max(0, len(chosen) - b), min(a, len(chosen)) + 1):
+            for sources in itertools.combinations(chosen, s):
+                want = 0
+                for v in chosen:
+                    want |= high[v] if v in sources else low[v]
+                moves.add((mask, min(want, want ^ mask)))
     return moves
 
 
@@ -471,12 +485,13 @@ def _move_classes(
     """Close the sorted acyclic direction vectors under (a, b, local)-flips;
     the classes come as sorted bit tuples in order of least member.
 
-    A union-find over the positions in `acyclic` joins every vector with
-    its one-way moves; a move and its reverse join the same pair, so the
-    sets are the classes of the two-way closure.  Grouping the vectors in
-    ascending order opens each class at its least member and appends the
-    rest in order."""
-    moves = _flip_moves(graph, a, b, local)
+    The closure runs one move of `_flip_masks` at a time: a union-find over
+    the positions in `acyclic` joins every vector the move applies to with
+    its image, so the work is the vector count times the move count, which
+    DEFAULT_CLOSURE_CAP bounds.  Each move stands for its reverse too, so
+    the sets are the classes of the two-way closure.  Grouping the vectors
+    in ascending order opens each class at its least member and appends
+    the rest in order."""
     index = {bits: i for i, bits in enumerate(acyclic)}
     parent = list(range(len(acyclic)))
 
@@ -485,12 +500,11 @@ def _move_classes(
             parent[i] = i = parent[parent[i]]
         return i
 
-    for i, bits in enumerate(acyclic):
-        root = find(i)
-        for nxt in moves(bits):
-            j = index.get(nxt)
+    for mask, want in _flip_masks(graph, a, b, local):
+        for bits in [x for x in acyclic if x & mask == want]:
+            j = index.get(bits ^ mask)
             assert j is not None, "flip move broke acyclicity"
-            other = find(j)
+            root, other = find(index[bits]), find(j)
             if other != root:
                 parent[other] = root
     classes: dict[int, list[int]] = {}
@@ -519,12 +533,14 @@ def _independent_sets(adj: tuple[int, ...], mask: int, k: int, memo: dict) -> li
 def _flip_selections(graph: Graph, a: int, b: int) -> int:
     """Ways to pick the vertices one (a, b)-flip could flip in some
     orientation: a + b pairwise distinct, non-adjacent vertices, split into
-    a sources and b sinks (or, when a != b, b sources and a sinks).
-    Isolated vertices are counted in one binomial, so only the vertices
-    with edges are split.  Callers count first: T(2, 0) >= 2^(n - c) for
-    c components (deleting a non-bridge edge never raises the count), so a
-    count within DEFAULT_CLOSURE_CAP leaves at most 16 forest edges and at
-    most 32 vertices with edges."""
+    a sources and b sinks (or, when a != b, b sources and a sinks).  The
+    closure cap multiplies T(2, 0) by this count, which bounds the moves
+    `_move_classes` scans the orientations for: `_flip_masks` lists a move
+    and its reverse once, leaves out the picks of isolated vertices alone
+    and merges picks that differ only in isolated vertices.  Isolated
+    vertices are counted in one binomial, so only the vertices with edges
+    are split.  Callers check the forest rank first (`_check_forest_rank`),
+    which leaves at most 16 forest edges and 32 vertices with edges."""
     k = a + b
     if k > graph.n:
         return 0
@@ -545,9 +561,10 @@ def partition_by_moves(
     """Group the acyclic orientations into classes reachable by the chosen
     move kind, via a union-find closure (no symmetry shortcuts).  Kinds
     are (a, b, local) flips; only ab_flip takes a and b from the caller.  The
-    closure visits each of the T(2, 0) acyclic orientations once and tries
-    its flip selections, so it refuses up front when T(2, 0) times one
-    plus the selections exceeds DEFAULT_CLOSURE_CAP."""
+    closure lists the T(2, 0) acyclic orientations and scans them once per
+    flip move, so it refuses up front when T(2, 0) times one plus the flip
+    selections exceeds DEFAULT_CLOSURE_CAP, and before taking T(2, 0) when
+    its forest-rank bound already does."""
     if kind not in _KINDS:
         raise InvalidArgumentError(f"kind must be one of {PARTITION_KINDS}, got {kind!r}")
     if kind != "ab_flip" and (a, b) != (None, None):
@@ -555,12 +572,13 @@ def partition_by_moves(
     flip_a, flip_b, local = _KINDS[kind] or (a, b, False)
     if flip_a is None or flip_b is None or flip_a < 0 or flip_b < 0:
         raise InvalidArgumentError("ab_flip needs non-negative sizes a and b")
+    _check_forest_rank(graph)
     count = tutte_eval(graph, 2, 0)   # T(2, 0): the orientations the closure visits
-    _check_closure_cap(count)   # first, since it bounds the work of _flip_selections
     selections = _flip_selections(graph, flip_a, flip_b)
     _check_closure_cap(count, selections, (flip_a, flip_b))
     classes = _move_classes(graph, flip_a, flip_b, local, _acyclic_bits(graph))
-    orientations = tuple(tuple(Orientation(graph, bits) for bits in cls) for cls in classes)
+    orient = Orientation._from_bits
+    orientations = tuple(tuple(map(orient, itertools.repeat(graph), cls)) for cls in classes)
     return OrientationPartition(graph, kind, orientations, a=a, b=b)
 
 

@@ -103,8 +103,12 @@ def path_fs_structure(
             f"orientation count {len(groups)} disagrees with T(2,0) = {count}"
         )
     # Popping frees each group's list as soon as its frozenset exists.
+    keys = sorted(groups)
     classes = tuple(
-        (Orientation(comp, bits), frozenset(groups.pop(bits))) for bits in sorted(groups)
+        zip(
+            map(Orientation._from_bits, itertools.repeat(comp), keys),
+            map(frozenset, map(groups.pop, keys)),
+        )
     )
     return PathStructure(count, classes)
 
@@ -155,10 +159,11 @@ def cycle_fs_structure(
             f"double-flip classes ({len(members)}) disagree with "
             f"T(1,0) * nu = {toric_count} * {nu}"
         )
+    orient = Orientation._from_bits
     classes = tuple(
         (
-            tuple(Orientation(comp, bits) for bits in cls),
-            frozenset(itertools.chain.from_iterable(groups.pop(bits) for bits in cls)),
+            tuple(map(orient, itertools.repeat(comp), cls)),
+            frozenset(itertools.chain.from_iterable(map(groups.pop, cls))),
         )
         for cls in members
     )

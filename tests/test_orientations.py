@@ -29,7 +29,7 @@ from fsgraph.iso import enumerate_nonisomorphic
 from fsgraph.config import DEFAULT_CLOSURE_CAP
 from fsgraph.orientations import (
     _ORDER_TABLES,
-    _flip_moves,
+    _flip_masks,
     _flip_selections,
     _incidence,
     _move_classes,
@@ -138,6 +138,26 @@ def test_enumerate_refuses_past_the_closure_cap():
     with pytest.raises(ResourceLimitError, match="262144 acyclic orientations exceed"):
         enumerate_acyclic(matching)
     assert time.perf_counter() - start < 1
+
+
+def test_forest_rank_refuses_before_the_tutte_count(monkeypatch):
+    # T(2, 0) >= 2^(n - c), so G(30, p) and G(40, p) are refused before the
+    # Tutte evaluation runs (it took 0.45-0.75 s to hit its own cap there).
+    import fsgraph.orientations as orientations
+
+    def refuse(*args):
+        raise AssertionError("tutte_eval ran")
+
+    monkeypatch.setattr(orientations, "tutte_eval", refuse)
+    for n, p in ((30, 0.15), (40, 0.5)):
+        g = random_graph(random.Random(f"{n}:{p}"), n, p)
+        with pytest.raises(ResourceLimitError, match=f"at least {2 ** (n - 1)} acyclic orientations exceed"):
+            enumerate_acyclic(g)
+        with pytest.raises(ResourceLimitError, match="acyclic orientations exceed"):
+            partition_by_moves(g, "toric")
+    # Exact on forests: a 17-edge matching has 2^17 acyclic orientations.
+    with pytest.raises(ResourceLimitError, match="^131072 acyclic orientations exceed"):
+        partition_by_moves(Graph(34, [(2 * i + 1, 2 * i + 2) for i in range(17)]), "double_flip")
 
 
 def test_extension_listing_respects_vertex_cap():
@@ -598,13 +618,17 @@ def test_partition_matches_orientation_closure():
 
 
 def test_flip_generator_agrees_with_ab_flip():
-    # For every (a, b, local) flip, the one-way generator's moves of an
-    # orientation are exactly its legal ab_flip calls of the kept direction:
-    # a sources and b sinks, and when a == b the least chosen vertex a
-    # source (one per choice of vertices, local ones inside one component).
-    # Every legal call of the other direction is the reverse of a generated
-    # move of its image, and every illegal call raises.
+    # For every (a, b, local) flip, the moves `_flip_masks` lists, each
+    # taking the bits with bits & mask == want to bits ^ mask, are one end
+    # of every legal ab_flip call: a call of a sources and b sinks, or of b
+    # sources and a sinks, that reverses some edge (inside one component
+    # when local) is a listed move of the orientation or the reverse of a
+    # listed move of its image, and every listed move of an orientation is
+    # such a call.  No move is listed twice or together with its reverse,
+    # and every illegal call raises.
     graphs = _seeded_graphs(45, [(3, 2), (4, 3), (5, 4), (6, 7), (7, 8), (8, 9), (8, 12)])
+    # Isolated vertices, and three or more components.
+    graphs += [Graph(5), Graph(6, [(1, 2), (2, 3)]), Graph(7, [(1, 2), (3, 4), (5, 6)])]
     rng = random.Random(46)
     flips = [(0, 1, False), (1, 1, False), (1, 1, True), (0, 0, False), (1, 0, False)]
     flips += [(2, 1, False), (2, 1, True), (2, 2, False), (3, 0, False)]
@@ -614,10 +638,16 @@ def test_flip_generator_agrees_with_ab_flip():
         if len(orientations) > 12:
             orientations = rng.sample(orientations, 12)
         for a, b, local in flips:
-            moves = _flip_moves(g, a, b, local)
+            moves = _flip_masks(g, a, b, local)
+            assert all(mask and want & ~mask == 0 for mask, want in moves)
+            assert len({(mask, min(want, want ^ mask)) for mask, want in moves}) == len(moves)
+
+            def listed(bits):
+                return {bits ^ mask for mask, want in moves if bits & mask == want}
+
             for o in orientations:
                 src, snk = _degree_sources_sinks(o)
-                kept = []
+                legal = set()
                 for na, nb in {(a, b), (b, a)}:
                     for us in itertools.combinations(range(1, g.n + 1), na):
                         for vs in itertools.combinations(range(1, g.n + 1), nb):
@@ -633,14 +663,14 @@ def test_flip_generator_agrees_with_ab_flip():
                                 continue
                             image = o.ab_flip(us, vs)
                             assert image.bits == _edge_flip(o, chosen)
-                            if local and len({comp_id[w] for w in chosen}) > 1:
+                            assert image.ab_flip(vs, us) == o
+                            if image == o or local and len({comp_id[w] for w in chosen}) > 1:
                                 continue
-                            if (na, nb) == (a, b) and (a != b or not us or min(chosen) in us):
-                                kept.append(image.bits)
-                            else:
-                                assert image.ab_flip(vs, us) == o
-                                assert o.bits in moves(image.bits), (g.edges, o.bits, us, vs)
-                assert sorted(moves(o.bits)) == sorted(kept), (g.edges, o.bits, a, b, local)
+                            legal.add(image.bits)
+                            assert image.bits in listed(o.bits) or o.bits in listed(image.bits), (
+                                g.edges, o.bits, us, vs, local
+                            )
+                assert listed(o.bits) <= legal, (g.edges, o.bits, a, b, local)
 
 
 def _bfs_move_classes(g, a, b, local, acyclic):
@@ -694,12 +724,30 @@ def _bfs_move_classes(g, a, b, local, acyclic):
 
 def test_union_find_closure_matches_a_breadth_first_closure():
     sizes = [(n, m) for n in range(2, 9) for m in (n - 1, n + 2, 2 * n) if m <= n * (n - 1) // 2]
+    graphs = _seeded_graphs(48, sizes)
+    # Isolated vertices (a flip may fill up with them), and local flips
+    # across three or more components.
+    graphs += _seeded_graphs(49, [(7, 2), (8, 3), (9, 4), (10, 5)])
+    graphs += [
+        Graph(4),
+        Graph(6, [(1, 2), (2, 3)]),
+        Graph(7, [(1, 2), (3, 4), (5, 6)]),
+        Graph(8, [(1, 2), (2, 3), (1, 3), (4, 5), (6, 7)]),
+        Graph(9, [(1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9)]),
+    ]
     flips = [(0, 1, False), (1, 1, False), (1, 1, True), (2, 1, False), (2, 2, False), (3, 0, False)]
-    for g in _seeded_graphs(48, sizes):
+    flips += [(0, 1, True), (2, 1, True), (1, 2, True), (2, 2, True), (1, 3, False)]
+    for g in graphs:
         acyclic = [o.bits for o in enumerate_acyclic(g)]
         for a, b, local in flips:
             got = _move_classes(g, a, b, local, acyclic)
             assert got == _bfs_move_classes(g, a, b, local, acyclic), (g.edges, a, b, local)
+    # An edgeless graph has no move (every selection has mask 0); a closure
+    # that tried each of its 99 540 double-flip selections took 23 ms here
+    # (2-core Xeon), this one takes about 0.1 ms.
+    start = time.perf_counter()
+    assert _move_classes(Graph(316), 1, 1, False, [0]) == [(0,)]
+    assert time.perf_counter() - start < 0.023
 
 
 def test_flip_selection_cap_bounds_the_work_per_orientation():
