@@ -239,6 +239,9 @@ def _cmd_oracle_sweep(args, config: RunConfig):
     for f in families:
         if f not in ("path", "cycle", "star"):
             raise InvalidArgumentError(f"unknown sweep family {f!r}")
+    for flag, value in (("--max-n", args.max_n), ("--random", args.random)):
+        if value < 0:
+            raise InvalidArgumentError(f"{flag} must be non-negative, got {value}")
     if args.max_n > 0:
         enumerate_nonisomorphic(args.max_n)   # refuses past n = 8 before any check
     checked = 0

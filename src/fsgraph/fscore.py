@@ -83,8 +83,12 @@ def _state_of(sigma: Permutation) -> bytes:
     return bytes(v - 1 for v in sigma.word)
 
 
+# Maps each byte value v to v + 1: a state's word as a permutation's.
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
+
+
 def _perm_of(state: bytes) -> Permutation:
-    return Permutation._from_word(bytes(v + 1 for v in state))
+    return Permutation._from_word(state.translate(_PLUS_ONE))
 
 
 def _check_statespace(n: int, config: RunConfig) -> int:

@@ -11,8 +11,11 @@ outputs are order-stable.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import math
+import sys
 
 from .config import DEFAULT_CLOSURE_CAP, DEFAULT_EXTENSION_VERTEX_CAP
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
@@ -249,6 +252,26 @@ def _incidence(graph: Graph) -> tuple[list[int], list[int], list[int]]:
     return [lo | hi for lo, hi in zip(low, high)], low, high
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Keep the cyclic garbage collector off for the block, then turn it
+    back on only if it was on at entry, so nested pauses and callers that
+    turned it off themselves are left as they were.
+
+    Listings build tens of thousands of acyclic containers (orientations,
+    tuples, frozensets), each of which would count towards a collection
+    that finds nothing to free; any cycle made in the block is still
+    collected after it.  Another thread toggling the collector meanwhile
+    is not guarded against."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _check_closure_cap(count: int, selections: int = 0, flip: tuple[int, int] = (0, 0)) -> None:
     """Refuse a closure over `count` acyclic orientations that tries
     `selections` flip selections at each, when count * (1 + selections)
@@ -312,7 +335,8 @@ def enumerate_acyclic(graph: Graph) -> tuple[Orientation, ...]:
     front when their count T(2, 0) exceeds DEFAULT_CLOSURE_CAP."""
     _check_forest_rank(graph)
     _check_closure_cap(tutte_eval(graph, 2, 0))
-    return tuple(map(Orientation._from_bits, itertools.repeat(graph), _acyclic_bits(graph)))
+    with _gc_paused():
+        return tuple(map(Orientation._from_bits, itertools.repeat(graph), _acyclic_bits(graph)))
 
 
 # The n! vertex orders of [n] as Permutations in lexicographic order, kept
@@ -335,44 +359,57 @@ def _vertex_orders(n: int):
     return iter(table)
 
 
+# memoryview formats of unsigned slots of 1, 2, 4 and 8 bytes.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _orders_by_orientation(graph: Graph) -> dict[int, list[Permutation]]:
     """All n! vertex orders, grouped by the direction bits of the acyclic
     orientation each one induces (edges point from the earlier vertex).
 
     The keys are exactly the acyclic orientations, and each group is the
     set of linear extensions of its key, listed in lexicographic order.
-    The orders grow one position at a time, in lexicographic order, as
-    (placed vertex mask, bits so far) pairs.  Placing v after the vertices
-    in p sets the bits of v's low-endpoint edges whose other endpoint is in
-    p; ``steps[p]`` tabulates that, with the next mask, per free vertex.
-    The Permutations come from `_vertex_orders`, so for n <= 8 they are
-    built once per process and shared by every listing at that n.
+    The keys of all n! orders are computed together, one fixed-width slot
+    each in a big integer, slot i for the i-th order.  In lexicographic
+    order the orders of a vertex set S are, for each v of S in increasing
+    order, v followed by the orders of S - v.  Putting v first sets exactly
+    the bits of the edges (u, v) with u < v and u in S, so ``packed[S]``
+    concatenates, over those v, ``packed[S - v]`` with that constant ORed
+    into every slot; it is built for all S by increasing size, two sizes
+    kept at a time.  The Permutations come from `_vertex_orders`, so for
+    n <= 8 they are built once per process and shared by every listing at
+    that n.
     """
     n = graph.n
-    inc, low, _ = _incidence(graph)
-    seen = [0] * (1 << n)   # seen[p]: bits of the edges at the vertices of p
-    steps = []
-    for p in range(1 << n):
-        if p:
-            seen[p] = seen[p & (p - 1)] | inc[(p & -p).bit_length() - 1]
-        steps.append([(p | 1 << v, low[v] & seen[p]) for v in range(n) if not p >> v & 1])
-    # last[q]: the bits set by placing the one vertex left out of q (0 if none).
-    last = [step[0][1] if step else 0 for step in steps]
-    states = [(0, 0)]
-    for _ in range(n - 2):
-        states = [(q, bits | add) for p, bits in states for q, add in steps[p]]
-    # The last two placements run in this loop, so the n! leaves are never
-    # stored; they come in the same order as the vertex orders.
-    orders = _vertex_orders(n)
+    _, low, high = _incidence(graph)
+    # Slots of 1 to 8 bytes: listings stop at 10 vertices, so at 45 edges.
+    width = next(w for w in _SLOT_FORMATS if graph.edge_count <= 8 * w)
+    slot = 8 * width
+    lows = [0] * (1 << n)   # lows[S]: the edges whose low endpoint lies in S
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for s in range(1, 1 << n):
+        lows[s] = lows[s & (s - 1)] | low[(s & -s).bit_length() - 1]
+        by_size[s.bit_count()].append(s)
+    packed: list[int | None] = [0] * (1 << n)
+    for size in range(1, n + 1):
+        block = math.factorial(size - 1) * slot   # bits of the orders of S - v
+        ones = ((1 << block) - 1) // ((1 << slot) - 1)   # a 1 in each slot
+        for s in by_size[size]:
+            keys = 0
+            for j, v in enumerate(_mask_to_vertices(s)):
+                first = (high[v - 1] & lows[s]) * ones | packed[s ^ 1 << (v - 1)]
+                keys |= first << j * block
+            packed[s] = keys
+        for s in by_size[size - 1]:
+            packed[s] = None
+    slots = memoryview(packed[-1].to_bytes(math.factorial(n) * width, sys.byteorder))
     groups: dict[int, list[Permutation]] = {}
-    for p, bits in states:
-        for q, add in steps[p]:
-            key = bits | add | last[q]
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [next(orders)]
-            else:
-                group.append(next(orders))
+    for key, order in zip(slots.cast(_SLOT_FORMATS[width]), _vertex_orders(n)):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [order]
+        else:
+            group.append(order)
     return groups
 
 
@@ -489,9 +526,12 @@ def _move_classes(
     the positions in `acyclic` joins every vector the move applies to with
     its image, so the work is the vector count times the move count, which
     DEFAULT_CLOSURE_CAP bounds.  Each move stands for its reverse too, so
-    the sets are the classes of the two-way closure.  Grouping the vectors
-    in ascending order opens each class at its least member and appends
-    the rest in order."""
+    the sets are the classes of the two-way closure.  A union hangs the
+    larger root under the smaller, so every root is the least position of
+    its class and every parent lies below its child; one ascending pass
+    then points each position at its root.  Grouping the vectors in
+    ascending order opens each class at its least member and appends the
+    rest in order."""
     index = {bits: i for i, bits in enumerate(acyclic)}
     parent = list(range(len(acyclic)))
 
@@ -505,11 +545,18 @@ def _move_classes(
             j = index.get(bits ^ mask)
             assert j is not None, "flip move broke acyclicity"
             root, other = find(index[bits]), find(j)
+            if other < root:
+                root, other = other, root
             if other != root:
                 parent[other] = root
     classes: dict[int, list[int]] = {}
     for i, bits in enumerate(acyclic):
-        classes.setdefault(find(i), []).append(bits)
+        root = parent[i] = parent[parent[i]]
+        group = classes.get(root)
+        if group is None:
+            classes[root] = [bits]
+        else:
+            group.append(bits)
     return [tuple(group) for group in classes.values()]
 
 
@@ -576,9 +623,10 @@ def partition_by_moves(
     count = tutte_eval(graph, 2, 0)   # T(2, 0): the orientations the closure visits
     selections = _flip_selections(graph, flip_a, flip_b)
     _check_closure_cap(count, selections, (flip_a, flip_b))
-    classes = _move_classes(graph, flip_a, flip_b, local, _acyclic_bits(graph))
-    orient = Orientation._from_bits
-    orientations = tuple(tuple(map(orient, itertools.repeat(graph), cls)) for cls in classes)
+    with _gc_paused():
+        classes = _move_classes(graph, flip_a, flip_b, local, _acyclic_bits(graph))
+        orient = Orientation._from_bits
+        orientations = tuple(tuple(map(orient, itertools.repeat(graph), cls)) for cls in classes)
     return OrientationPartition(graph, kind, orientations, a=a, b=b)
 
 

@@ -1,8 +1,8 @@
 """Permutations of [n] in one-line notation.
 
-A permutation is stored as the raw bytes of its one-line word (values
-1..n), which makes instances compact, hashable, and ordered exactly by
-the lexicographic order on one-line words.  That order is the canonical
+A permutation is a ``bytes`` subclass holding its one-line word (values
+1..n), which makes instances compact, hashable in C, and ordered exactly
+by the lexicographic order on one-line words.  That order is the canonical
 order used for component representatives everywhere downstream.
 """
 
@@ -15,28 +15,40 @@ from .errors import InvalidArgumentError
 MAX_N = 20
 
 
-class Permutation:
-    """A bijection of [n], immutable and hashable."""
+class Permutation(bytes):
+    """A bijection of [n], immutable and hashable.
 
-    __slots__ = ("word",)
+    The instance is its one-line word, so hashing, ordering, ``len`` and
+    iteration are those of the word's bytes and run in C.  A Permutation
+    never equals a plain ``bytes``, though the two hash alike.
+    """
 
-    word: bytes
+    __slots__ = ()
 
-    def __init__(self, images: Iterable[int]):
-        word = bytes(images)
-        n = len(word)
+    def __new__(cls, images: Iterable[int]) -> "Permutation":
+        try:
+            values = list(images)
+        except TypeError as exc:
+            raise InvalidArgumentError(
+                f"permutation images must be an iterable of integers, got {type(images).__name__}"
+            ) from exc
+        n = len(values)
         if n == 0 or n > MAX_N:
             raise InvalidArgumentError(f"permutation length must be in 1..{MAX_N}, got {n}")
+        try:
+            word = bytes(values)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(
+                f"permutation images must be integers in 1..{n}, got {values}"
+            ) from exc
         if sorted(word) != list(range(1, n + 1)):
-            raise InvalidArgumentError(f"not a bijection of [{n}]: {list(word)}")
-        self.word = word
+            raise InvalidArgumentError(f"not a bijection of [{n}]: {values}")
+        return bytes.__new__(cls, word)
 
     @classmethod
     def _from_word(cls, word: bytes) -> "Permutation":
         # Trusted fast path: callers guarantee `word` is a valid one-line word.
-        p = object.__new__(cls)
-        p.word = word
-        return p
+        return bytes.__new__(cls, word)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -61,70 +73,65 @@ class Permutation:
         return cls(images)
 
     @property
+    def word(self) -> bytes:
+        """The one-line word as a plain ``bytes``."""
+        return bytes(self)
+
+    @property
     def n(self) -> int:
-        return len(self.word)
+        return len(self)
 
     @property
     def images(self) -> tuple[int, ...]:
-        return tuple(self.word)
+        return tuple(self)
 
     def __call__(self, i: int) -> int:
         """Value at position i (1-indexed)."""
-        if not 1 <= i <= len(self.word):
-            raise InvalidArgumentError(f"position {i} out of range 1..{len(self.word)}")
-        return self.word[i - 1]
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __iter__(self):
-        return iter(self.word)
+        if not 1 <= i <= len(self):
+            raise InvalidArgumentError(f"position {i} out of range 1..{len(self)}")
+        return self[i - 1]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.word == other.word
+        return isinstance(other, Permutation) and bytes.__eq__(self, other)
 
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.word < other.word
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
-    def __le__(self, other: "Permutation") -> bool:
-        return self.word <= other.word
-
-    def __hash__(self) -> int:
-        return hash(self.word)
+    # Defining __eq__ would drop the inherited hash; bytes' own keeps it in C.
+    __hash__ = bytes.__hash__
 
     def __repr__(self) -> str:
         return f"Permutation({self})"
 
     def __str__(self) -> str:
-        if len(self.word) <= 9:
-            return "".join(str(v) for v in self.word)
-        return ",".join(str(v) for v in self.word)
+        if len(self) <= 9:
+            return "".join(str(v) for v in self)
+        return ",".join(str(v) for v in self)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Return self after other: result(i) = self(other(i))."""
-        if len(self.word) != len(other.word):
+        if len(self) != len(other):
             raise InvalidArgumentError("cannot compose permutations of different lengths")
-        w, o = self.word, other.word
-        return Permutation._from_word(bytes(w[v - 1] for v in o))
+        return Permutation._from_word(bytes(self[v - 1] for v in other))
 
     def inverse(self) -> "Permutation":
-        out = bytearray(len(self.word))
-        for pos, value in enumerate(self.word, start=1):
+        out = bytearray(len(self))
+        for pos, value in enumerate(self, start=1):
             out[value - 1] = pos
         return Permutation._from_word(bytes(out))
 
     def apply_transposition(self, i: int, j: int) -> "Permutation":
         """Swap the entries at positions i < j; equals compose with (i j)."""
-        n = len(self.word)
+        n = len(self)
         if not (1 <= i < j <= n):
             raise InvalidArgumentError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-        out = bytearray(self.word)
+        out = bytearray(self)
         out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
         return Permutation._from_word(bytes(out))
 
     def sign(self) -> int:
         """+1 for even permutations, -1 for odd, by cycle counting."""
-        n = len(self.word)
+        n = len(self)
         seen = bytearray(n)
         cycles = 0
         for start in range(n):
@@ -134,10 +141,9 @@ class Permutation:
             v = start
             while not seen[v]:
                 seen[v] = 1
-                v = self.word[v] - 1
+                v = self[v] - 1
         return 1 if (n - cycles) % 2 == 0 else -1
 
     def cyclic_shift(self) -> "Permutation":
         """Precompose with i -> i+1 (mod n): the word rotates left by one."""
-        w = self.word
-        return Permutation._from_word(w[1:] + w[:1])
+        return Permutation._from_word(self[1:] + self[:1])

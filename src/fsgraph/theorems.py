@@ -52,7 +52,7 @@ from .iso import (
     is_theta0_graph,
     refined_form,
 )
-from .orientations import Orientation, _move_classes, _orders_by_orientation
+from .orientations import Orientation, _gc_paused, _move_classes, _orders_by_orientation
 from .perms import Permutation
 from .tutte import tutte_eval
 
@@ -97,19 +97,20 @@ def path_fs_structure(
     error = _listing_error(y.n, config)
     if error is not None:
         return PathStructure(count, None, error)
-    groups = _orders_by_orientation(comp)
-    if len(groups) != count:
-        raise AssertionError(
-            f"orientation count {len(groups)} disagrees with T(2,0) = {count}"
+    with _gc_paused():
+        groups = _orders_by_orientation(comp)
+        if len(groups) != count:
+            raise AssertionError(
+                f"orientation count {len(groups)} disagrees with T(2,0) = {count}"
+            )
+        # Popping frees each group's list as soon as its frozenset exists.
+        keys = sorted(groups)
+        classes = tuple(
+            zip(
+                map(Orientation._from_bits, itertools.repeat(comp), keys),
+                map(frozenset, map(groups.pop, keys)),
+            )
         )
-    # Popping frees each group's list as soon as its frozenset exists.
-    keys = sorted(groups)
-    classes = tuple(
-        zip(
-            map(Orientation._from_bits, itertools.repeat(comp), keys),
-            map(frozenset, map(groups.pop, keys)),
-        )
-    )
     return PathStructure(count, classes)
 
 
@@ -152,21 +153,26 @@ def cycle_fs_structure(
     error = _listing_error(y.n, config)
     if error is not None:
         return CycleStructure(count, nu, toric_count, None, error)
-    groups = _orders_by_orientation(comp)
-    members = _move_classes(comp, 1, 1, False, sorted(groups))
-    if len(members) != count:
-        raise AssertionError(
-            f"double-flip classes ({len(members)}) disagree with "
-            f"T(1,0) * nu = {toric_count} * {nu}"
+    with _gc_paused():
+        groups = _orders_by_orientation(comp)
+        members = _move_classes(comp, 1, 1, False, sorted(groups))
+        if len(members) != count:
+            raise AssertionError(
+                f"double-flip classes ({len(members)}) disagree with "
+                f"T(1,0) * nu = {toric_count} * {nu}"
+            )
+        orient = Orientation._from_bits
+        classes = tuple(
+            # Most classes of a dense complement hold one orientation; they
+            # skip the per-class iterators.
+            ((orient(comp, cls[0]),), frozenset(groups.pop(cls[0])))
+            if len(cls) == 1
+            else (
+                tuple(map(orient, itertools.repeat(comp), cls)),
+                frozenset(itertools.chain.from_iterable(map(groups.pop, cls))),
+            )
+            for cls in members
         )
-    orient = Orientation._from_bits
-    classes = tuple(
-        (
-            tuple(map(orient, itertools.repeat(comp), cls)),
-            frozenset(itertools.chain.from_iterable(map(groups.pop, cls))),
-        )
-        for cls in members
-    )
     return CycleStructure(count, nu, toric_count, classes)
 
 

@@ -255,6 +255,22 @@ def test_exit_code_invalid_argument(capsys):
     assert code == 2
 
 
+def test_out_of_range_permutation_values_exit_2(capsys):
+    for sigma in ("1,300", "1,-2"):
+        code, out, err = run_cli(
+            capsys, "fs", "neighbors", "--x", "family:path:2", "--y", "family:path:2", "--sigma", sigma
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: permutation images must be integers")
+
+
+def test_oracle_sweep_refuses_negative_counts(capsys):
+    for flag in ("--random", "--max-n"):
+        code, out, err = run_cli(capsys, "oracle-sweep", flag, "-2")
+        assert (code, out) == (2, "")
+        assert f"{flag} must be non-negative" in err
+
+
 def test_exit_code_resource_limit(capsys):
     code, _, err = run_cli(
         capsys, "fs", "components", "--x", "family:path:10", "--y", "family:path:10"

@@ -31,6 +31,7 @@ from fsgraph.orientations import (
     _ORDER_TABLES,
     _flip_masks,
     _flip_selections,
+    _gc_paused,
     _incidence,
     _move_classes,
     _orders_by_orientation,
@@ -827,6 +828,70 @@ def test_listings_leave_no_reference_cycles():
     assert kept
 
 
+def _listings(y):
+    from fsgraph.theorems import cycle_fs_structure, path_fs_structure
+
+    return (
+        lambda: path_fs_structure(y, include_classes=True),
+        lambda: cycle_fs_structure(y, include_classes=True),
+        lambda: enumerate_acyclic(y),
+        lambda: partition_by_moves(y, "double_flip"),
+    )
+
+
+def test_listings_leave_the_collector_as_they_found_it():
+    enabled = gc.isenabled()
+    try:
+        for state in (True, False):
+            gc.enable() if state else gc.disable()
+            for build in _listings(Graph(5, [(1, 2), (3, 4)])):
+                assert build()
+                assert gc.isenabled() is state
+            with _gc_paused():
+                with _gc_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+            assert gc.isenabled() is state
+    finally:
+        gc.enable() if enabled else gc.disable()
+
+
+def test_a_failing_listing_restores_the_collector(monkeypatch):
+    from fsgraph import orientations, theorems
+
+    def fail(*args):
+        assert not gc.isenabled()
+        raise RuntimeError("listing failed")
+
+    monkeypatch.setattr(theorems, "_orders_by_orientation", fail)
+    monkeypatch.setattr(orientations, "_acyclic_bits", fail)
+    enabled = gc.isenabled()
+    try:
+        for state in (True, False):
+            gc.enable() if state else gc.disable()
+            for build in _listings(Graph(5, [(1, 2), (3, 4)])):
+                with pytest.raises(RuntimeError, match="listing failed"):
+                    build()
+                assert gc.isenabled() is state
+    finally:
+        gc.enable() if enabled else gc.disable()
+
+
+def test_dropped_seven_vertex_listings_leave_no_cyclic_garbage():
+    # The complement has 18 edges and 3216 acyclic orientations.
+    y = Graph(7, [(1, 2), (3, 4), (5, 6)])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for build in _listings(y)[:2]:
+            assert len(build().classes) > 1
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # -- the shared vertex-order table -----------------------------------------------
 
 
@@ -900,12 +965,27 @@ def test_memoised_orders_build_no_permutation(monkeypatch):
         raise AssertionError("a Permutation was built")
 
     monkeypatch.setattr(Permutation, "_from_word", refuse)
-    monkeypatch.setattr(Permutation, "__init__", refuse)
+    monkeypatch.setattr(Permutation, "__new__", refuse)
     again = _orders_by_orientation(build_named("path", 7))
     table = _ORDER_TABLES[7]
     assert sum(map(len, again.values())) == len(table) == 5040
     assert {id(p) for group in again.values() for p in group} == {id(p) for p in table}
     assert {id(p) for group in first.values() for p in group} == {id(p) for p in table}
+
+
+def test_orders_group_by_induced_orientation_with_eight_byte_keys():
+    # 34 edges need 8-byte key slots; sampled orders land in the group of
+    # the orientation they induce.
+    (g,) = _seeded_graphs(53, [(9, 34)])
+    groups = _orders_by_orientation(g)
+    assert len(groups) == tutte_eval(g, 2, 0)
+    assert sum(map(len, groups.values())) == math.factorial(9)
+    rng = random.Random(54)
+    for key in rng.sample(sorted(groups), 50):
+        group = groups[key]
+        assert group == sorted(group)
+        for p in rng.sample(group, min(4, len(group))):
+            assert orientation_from_permutation(g, p).bits == key
 
 
 def test_order_tables_stop_at_eight_factorial():

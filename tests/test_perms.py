@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +21,15 @@ def test_parse_word_and_comma_forms():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "50", "1123", "abc", "1,2,2"):
+    for bad in ("", "50", "1123", "abc", "1,2,2", "1,300", "1,-2", "300", "-1"):
         with pytest.raises(InvalidArgumentError):
             Permutation.parse(bad)
+
+
+def test_constructor_refuses_items_that_are_no_images():
+    for bad in ([1, 300], [1, -2], [1.0, 2.0], ["1", "2"], [None], 5, None):
+        with pytest.raises(InvalidArgumentError):
+            Permutation(bad)
 
 
 def test_long_permutations_use_comma_form():
@@ -89,9 +98,54 @@ def test_cyclic_shift_order_exactly_n():
         assert order == n
 
 
+def test_a_permutation_is_its_word_but_never_equals_it():
+    p = Permutation.parse("53142")
+    assert type(p.word) is bytes and p.word == bytes([5, 3, 1, 4, 2])
+    assert p != p.word and p.word != p
+    assert not p == p.word and not p.word == p
+    assert hash(p) == hash(p.word)
+    assert p == Permutation.parse("5,3,1,4,2") and not p != Permutation.parse("53142")
+    assert {p.word: 1}.get(p) is None and {p: 1}.get(Permutation(p.word)) == 1
+
+
+def test_length_iteration_and_images_follow_the_word():
+    p = Permutation.parse("53142")
+    assert len(p) == p.n == 5
+    assert list(p) == [5, 3, 1, 4, 2]
+    assert p.images == (5, 3, 1, 4, 2)
+    assert p(1) == 5 and p(5) == 2
+
+
+def test_pickle_and_copy_keep_the_type():
+    p = Permutation(list(range(11, 0, -1)))
+    copies = [pickle.loads(pickle.dumps(p, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(p), copy.deepcopy(p)]
+    for q in copies:
+        assert type(q) is Permutation and q == p and str(q) == str(p)
+
+
+def test_permutations_are_immutable():
+    p = Permutation.parse("213")
+    with pytest.raises(AttributeError):
+        p.word = b"\x01\x02\x03"
+    with pytest.raises(AttributeError):
+        p.extra = 1
+
+
 def test_lexicographic_ordering_matches_words():
     ps = [Permutation.parse(w) for w in ("213", "132", "123", "321")]
     assert [str(p) for p in sorted(ps)] == ["123", "132", "213", "321"]
+
+
+@given(st.lists(perm_strategy(max_n=5), max_size=12))
+@settings(max_examples=60)
+def test_sorting_matches_word_order_across_lengths(ps):
+    assert [p.word for p in sorted(ps)] == sorted(p.word for p in ps)
+    for p in ps:
+        for q in ps:
+            assert (p < q, p <= q, p > q, p >= q) == (
+                p.word < q.word, p.word <= q.word, p.word > q.word, p.word >= q.word
+            )
 
 
 @given(perm_strategy())
