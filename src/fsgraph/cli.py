@@ -22,10 +22,12 @@ import functools
 import json
 import random
 import sys
+from collections import Counter
 
 from .config import RunConfig
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
 from .fscore import (
+    ComponentReport,
     FSInstance,
     _component_sweep,
     component_count,
@@ -39,6 +41,7 @@ from .iso import enumerate_nonisomorphic
 from .orientations import (
     PARTITION_KINDS,
     Orientation,
+    OrientationPartition,
     _acyclic_bits,
     _check_closure_cap,
     partition_by_moves,
@@ -46,6 +49,7 @@ from .orientations import (
 )
 from .perms import Permutation
 from .theorems import (
+    ConnectivityVerdict,
     cycle_fs_structure,
     decide_connectivity,
     path_fs_structure,
@@ -115,6 +119,40 @@ def _emit(payload) -> None:
         sys.stdout.write(json.dumps(payload) + "\n")
 
 
+# -- JSON payloads ---------------------------------------------------------------
+
+
+def _component_json(report: ComponentReport, n: int, config: RunConfig) -> dict:
+    """A component report as JSON.  When the representatives were withheld,
+    the sizes come as ascending [size, multiplicity] pairs, with the
+    listing cap of `config` named in the error."""
+    data: dict = {"n": n, "component_count": report.component_count}
+    if report.representatives is not None:
+        data["sizes"] = list(report.sizes)
+        data["representatives"] = [str(p) for p in report.representatives]
+        return data
+    data["sizes"] = None
+    data["size_counts"] = sorted(map(list, Counter(report.sizes).items()))
+    data["representatives"] = None
+    data["representatives_error"] = (
+        f"{report.component_count} components exceed the listing cap of {config.listing_cap}"
+    )
+    return data
+
+
+def _partition_json(partition: OrientationPartition) -> dict:
+    data: dict = {"kind": partition.kind}
+    if partition.kind == "ab_flip":
+        data["a"] = partition.a
+        data["b"] = partition.b
+    data["classes"] = [[str(o) for o in cls] for cls in partition.classes]
+    return data
+
+
+def _verdict_json(verdict: ConnectivityVerdict) -> dict:
+    return {"status": verdict.status, "theorem": verdict.theorem, "witness": verdict.witness}
+
+
 # -- handlers ------------------------------------------------------------------
 
 
@@ -122,7 +160,7 @@ def _cmd_fs_components(args, config: RunConfig):
     inst = FSInstance(read_graph(args.x), read_graph(args.y))
     if args.format == "dot":
         return fs_to_dot(inst, config)
-    return _component_sweep(inst, config, config.listing_cap).to_json_dict(inst.n, config)
+    return _component_json(_component_sweep(inst, config, config.listing_cap), inst.n, config)
 
 
 def _cmd_fs_connected(args, config: RunConfig):
@@ -213,8 +251,7 @@ def _cmd_acyc_enumerate(args, config: RunConfig):
 
 def _cmd_acyc_partition(args, config: RunConfig):
     g = read_graph(args.g)
-    partition = partition_by_moves(g, args.kind, a=args.a, b=args.b)
-    return partition.to_json_dict()
+    return _partition_json(partition_by_moves(g, args.kind, a=args.a, b=args.b))
 
 
 def _cmd_acyc_phi(args, config: RunConfig):
@@ -230,8 +267,7 @@ def _cmd_tutte_eval(args, config: RunConfig):
 
 
 def _cmd_decide(args, config: RunConfig):
-    verdict = decide_connectivity(read_graph(args.x), read_graph(args.y), config)
-    return verdict.to_json_dict()
+    return _verdict_json(decide_connectivity(read_graph(args.x), read_graph(args.y), config))
 
 
 def _cmd_oracle_sweep(args, config: RunConfig):

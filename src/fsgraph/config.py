@@ -20,6 +20,7 @@ DEFAULT_CLOSURE_CAP = 100_000    # max acyclic orientations x (1 + flip selectio
 DEFAULT_TUTTE_NODE_CAP = 100_000   # max memoised multigraphs in one Tutte evaluation
 DEFAULT_EXTENSION_VERTEX_CAP = 10   # max n for linear-extension listings
 DEFAULT_HEREDITARY_BASE = 5      # brute-force floor of the hereditary recursion
+DEFAULT_HEREDITARY_LABELINGS = 24   # Hamiltonian paths of X tried per hereditary step
 DEFAULT_HEREDITARY_NODE_BUDGET = 2_000   # max pairs one hereditary recursion expands
 
 

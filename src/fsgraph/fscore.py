@@ -2,32 +2,32 @@
 
 Vertices of FS(X, Y) are permutations; two are adjacent when they differ
 by swapping the entries across one edge of X whose two entries are
-adjacent in Y.  A state is the permutation word packed into bytes, so
-swapping the entries at two positions exchanges two byte values: each
-ordered Y edge (a, b) owns a ``bytes.translate`` table exchanging a and
-b, and one lookup in the flat table list both tests Y-adjacency and
-yields the swap, one C call per friendly swap.  Components are
-discovered by breadth-first search with a single visited hash set for
-the whole sweep; nothing materializes the edge set.  A sweep runs one
-BFS per symmetry orbit of components: the images of a component under
-the generators of Aut(X) x Aut(Y) are marked seen by mapping its
-states.  Seeding the searches in lexicographic order makes a BFS start
-at its component's least permutation, an image takes the least of its
-mapped states, and reports list the representatives sorted, so every
-report is deterministic.
+adjacent in Y.  A search state is the permutation's one-line word as
+plain bytes (values 1..n), so swapping the entries at two positions
+exchanges two byte values: each ordered Y edge (a, b) owns a
+``bytes.translate`` table exchanging a and b, and one lookup in the flat
+table list both tests Y-adjacency and yields the swap, one C call per
+friendly swap; a state becomes a Permutation without conversion.
+Components are discovered by breadth-first search with a single visited
+hash set for the whole sweep; nothing materializes the edge set.  A
+sweep runs one BFS per symmetry orbit of components: the images of a
+component under the generators of Aut(X) x Aut(Y) are marked seen by
+mapping its states.  Seeding the searches in lexicographic order makes
+a BFS start at its component's least permutation, an image takes the
+least of its mapped states, and reports list the representatives
+sorted, so every report is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import InvalidArgumentError, ResourceLimitError
-from .graphs import Graph, _component_masks
+from .graphs import Graph
 from .iso import _automorphism_generators
 from .perms import Permutation
 
@@ -61,35 +61,6 @@ class ComponentReport:
     representatives: tuple[Permutation, ...] | None
     explored_vertices: int
 
-    def to_json_dict(self, n: int, config: RunConfig = DEFAULT_CONFIG) -> dict:
-        """The report as JSON.  When the representatives were withheld, the
-        sizes come as ascending [size, multiplicity] pairs, with the
-        listing cap of `config` named in the error."""
-        data: dict = {"n": n, "component_count": self.component_count}
-        if self.representatives is not None:
-            data["sizes"] = list(self.sizes)
-            data["representatives"] = [str(p) for p in self.representatives]
-            return data
-        data["sizes"] = None
-        data["size_counts"] = sorted(map(list, Counter(self.sizes).items()))
-        data["representatives"] = None
-        data["representatives_error"] = (
-            f"{self.component_count} components exceed the listing cap of {config.listing_cap}"
-        )
-        return data
-
-
-def _state_of(sigma: Permutation) -> bytes:
-    return bytes(v - 1 for v in sigma.word)
-
-
-# Maps each byte value v to v + 1: a state's word as a permutation's.
-_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
-
-
-def _perm_of(state: bytes) -> Permutation:
-    return Permutation._from_word(state.translate(_PLUS_ONE))
-
 
 def _check_statespace(n: int, config: RunConfig) -> int:
     total = math.factorial(n)
@@ -101,27 +72,28 @@ def _check_statespace(n: int, config: RunConfig) -> int:
 
 
 def _swap_tables(inst: FSInstance) -> list[bytes | None]:
-    """Entry a * n + b is the 256-byte table exchanging byte values a and b
-    when a and b are adjacent in Y, else None."""
+    """Entry a * (n + 1) + b, for labels a and b in 1..n, is the 256-byte
+    table exchanging byte values a and b when a and b are adjacent in Y,
+    else None."""
     swaps = inst._swaps
     if swaps is None:
-        n = inst.n
-        swaps = [None] * (n * n)
-        for a, b in inst.y._edges:
+        stride = inst.n + 1
+        swaps = [None] * (stride * stride)
+        for a, b in inst.y.edges:
             table = bytearray(range(256))
             table[a] = b
             table[b] = a
-            swaps[a * n + b] = swaps[b * n + a] = bytes(table)
+            swaps[a * stride + b] = swaps[b * stride + a] = bytes(table)
         inst._swaps = swaps
     return swaps
 
 
 def _expand(inst: FSInstance, state: bytes) -> list[bytes]:
     swaps = _swap_tables(inst)
-    n = inst.n
+    stride = inst.n + 1
     out = []
     for i, j in inst._xedges:
-        table = swaps[state[i] * n + state[j]]
+        table = swaps[state[i] * stride + state[j]]
         if table is not None:
             out.append(state.translate(table))
     return out
@@ -133,7 +105,7 @@ def friendly_neighbors(inst: FSInstance, sigma: Permutation) -> list[Permutation
         raise InvalidArgumentError(
             f"permutation length {sigma.n} does not match n = {inst.n}"
         )
-    return [_perm_of(s) for s in _expand(inst, _state_of(sigma))]
+    return [Permutation._from_word(s) for s in _expand(inst, bytes(sigma))]
 
 
 def _bfs_from(inst: FSInstance, start: bytes, seen: set[bytes], cap: int) -> list[bytes]:
@@ -141,12 +113,12 @@ def _bfs_from(inst: FSInstance, start: bytes, seen: set[bytes], cap: int) -> lis
     must not be in seen yet."""
     xedges = inst._xedges
     swaps = _swap_tables(inst)
-    n = inst.n
+    stride = inst.n + 1
     seen.add(start)
     comp = [start]
     for cur in comp:        # the list grows while it is walked: the BFS queue
         for i, j in xedges:
-            table = swaps[cur[i] * n + cur[j]]
+            table = swaps[cur[i] * stride + cur[j]]
             if table is not None:
                 s = cur.translate(table)
                 if s not in seen:
@@ -167,8 +139,8 @@ def component_of(
         raise InvalidArgumentError(
             f"permutation length {sigma.n} does not match n = {inst.n}"
         )
-    states = _bfs_from(inst, _state_of(sigma), set(), config.state_cap)
-    return frozenset(_perm_of(s) for s in states)
+    states = _bfs_from(inst, bytes(sigma), set(), config.state_cap)
+    return frozenset(map(Permutation._from_word, states))
 
 
 # What probing one image of a component costs, in BFS swap tests (timed on
@@ -184,12 +156,14 @@ def _state_maps(inst: FSInstance) -> list[tuple[object, bytes | None]]:
     """Automorphisms of FS(X, Y) acting on states, one per generator of
     Aut(X) and of Aut(Y): a position generator alpha moves the entry at
     position alpha(i) to position i, (itemgetter(*alpha), None); a label
-    generator beta relabels every entry, (None, its translate table)."""
+    generator beta relabels every entry, (None, its translate table on the
+    labels 1..n)."""
     maps: list[tuple[object, bytes | None]] = [
         (itemgetter(*alpha), None) for alpha in _automorphism_generators(inst.x)
     ]
     for beta in _automorphism_generators(inst.y):
-        maps.append((None, bytes(beta) + bytes(range(inst.n, 256))))
+        table = b"\x00" + bytes(v + 1 for v in beta) + bytes(range(inst.n + 1, 256))
+        maps.append((None, table))
     return maps
 
 
@@ -210,7 +184,7 @@ def iter_component_states(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG):
     seen: set[bytes] = set()
     cap = config.state_cap
     maps = None
-    for word in itertools.permutations(range(inst.n)):
+    for word in itertools.permutations(range(1, inst.n + 1)):
         start = bytes(word)
         if start in seen:
             continue
@@ -264,7 +238,7 @@ def _component_sweep(inst: FSInstance, config: RunConfig, rep_cap: float) -> Com
     return ComponentReport(
         component_count=len(sizes),
         sizes=tuple(sorted(sizes)),
-        representatives=tuple(map(_perm_of, sorted(least))) if fits else None,
+        representatives=tuple(map(Permutation._from_word, sorted(least))) if fits else None,
         explored_vertices=sum(sizes),
     )
 
@@ -272,7 +246,7 @@ def _component_sweep(inst: FSInstance, config: RunConfig, rep_cap: float) -> Com
 def is_connected(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> bool:
     """Single BFS from the identity; connected iff it reaches all n! states."""
     total = _check_statespace(inst.n, config)
-    start = bytes(range(inst.n))
+    start = bytes(range(1, inst.n + 1))
     return len(_bfs_from(inst, start, set(), config.state_cap)) == total
 
 
@@ -280,47 +254,6 @@ def component_count(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> int
     """Number of components, counted over the sweep without building
     representatives or sizes."""
     return sum(1 for _ in iter_component_states(inst, config))
-
-
-# -- cut-vertex incidence matrices --------------------------------------------
-
-
-def _count_margin_matrices(rows: tuple[int, ...], cols: tuple[int, ...], memo: dict) -> int:
-    """Number of nonnegative integer matrices with row sums `rows` and
-    column sums `cols`.  With the component sizes of X - x0 and Y - y0 as
-    margins (x0, y0 cut vertices), this counts the reachability classes
-    the two cut vertices freeze, a lower bound on the components of
-    FS(X, Y)."""
-    if not rows:
-        return 1 if all(c == 0 for c in cols) else 0
-    key = (rows, tuple(sorted(cols)))
-    if key in memo:
-        return memo[key]
-    target = rows[0]
-    rest = rows[1:]
-    total = 0
-
-    def distribute(idx: int, remaining: int, current: tuple[int, ...]):
-        nonlocal total
-        if idx == len(cols) - 1:
-            if remaining <= cols[idx]:
-                reduced = tuple(
-                    c - (current + (remaining,))[t] for t, c in enumerate(cols)
-                )
-                total += _count_margin_matrices(rest, reduced, memo)
-            return
-        for take in range(min(remaining, cols[idx]) + 1):
-            distribute(idx + 1, remaining - take, current + (take,))
-
-    distribute(0, target, ())
-    memo[key] = total
-    return total
-
-
-def _deleted_component_sizes(g: Graph, v: int) -> tuple[int, ...]:
-    """Component sizes of g minus vertex v, in order of least vertex."""
-    rest = ((1 << g.n) - 1) & ~(1 << (v - 1))
-    return tuple(m.bit_count() for m in _component_masks(g._adj, rest))
 
 
 # -- DOT export ----------------------------------------------------------------
@@ -333,15 +266,13 @@ def fs_to_dot(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> str:
     if inst.n > FS_DOT_MAX_N:
         raise ResourceLimitError(f"DOT export limited to n <= {FS_DOT_MAX_N}")
     _check_statespace(inst.n, config)
+    states = list(map(bytes, itertools.permutations(range(1, inst.n + 1))))
     lines = ["graph FS {"]
-    for word in itertools.permutations(range(inst.n)):
-        state = bytes(word)
-        lines.append(f'  "{_perm_of(state)}";')
-    for word in itertools.permutations(range(inst.n)):
-        state = bytes(word)
-        me = _perm_of(state)
+    lines.extend(f'  "{Permutation._from_word(state)}";' for state in states)
+    for state in states:
+        me = Permutation._from_word(state)
         for nb in _expand(inst, state):
             if state < nb:
-                lines.append(f'  "{me}" -- "{_perm_of(nb)}";')
+                lines.append(f'  "{me}" -- "{Permutation._from_word(nb)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -442,14 +442,6 @@ class OrientationPartition:
             raise InvalidArgumentError("orientation is not part of this partition")
         return self._index[orientation.bits]
 
-    def to_json_dict(self) -> dict:
-        data: dict = {"kind": self.kind}
-        if self.kind == "ab_flip":
-            data["a"] = self.a
-            data["b"] = self.b
-        data["classes"] = [[str(o) for o in cls] for cls in self.classes]
-        return data
-
 
 def _independent_tuples(out: list, chosen: tuple, cand: int, room: list, sizes: range) -> None:
     """Append to `out` every extension of `chosen` by vertices of `cand`,
@@ -624,7 +616,14 @@ def partition_by_moves(
     selections = _flip_selections(graph, flip_a, flip_b)
     _check_closure_cap(count, selections, (flip_a, flip_b))
     with _gc_paused():
-        classes = _move_classes(graph, flip_a, flip_b, local, _acyclic_bits(graph))
+        acyclic = _acyclic_bits(graph)
+        if selections:
+            classes = _move_classes(graph, flip_a, flip_b, local, acyclic)
+        else:
+            # No a + b vertices are pairwise non-adjacent, so no move
+            # applies; listing the moves would still walk every smaller
+            # independent set, 3^m of them on an m-edge matching.
+            classes = [(bits,) for bits in acyclic]
         orient = Orientation._from_bits
         orientations = tuple(tuple(map(orient, itertools.repeat(graph), cls)) for cls in classes)
     return OrientationPartition(graph, kind, orientations, a=a, b=b)

@@ -23,23 +23,18 @@ from .config import (
     DEFAULT_CONFIG,
     DEFAULT_EXTENSION_VERTEX_CAP,
     DEFAULT_HEREDITARY_BASE,
+    DEFAULT_HEREDITARY_LABELINGS,
     DEFAULT_HEREDITARY_NODE_BUDGET,
     RunConfig,
 )
 from .errors import InvalidArgumentError
-from .fscore import (
-    FSInstance,
-    _count_margin_matrices,
-    _deleted_component_sizes,
-    is_connected,
-)
+from .fscore import FSInstance, is_connected
 from .graphs import (
     Graph,
     StructureReport,
     _component_masks,
     _drop_vertex,
     _hamiltonian_paths,
-    _mask_to_vertices,
     has_hamiltonian_path,
     structure_report,
 )
@@ -145,7 +140,7 @@ def cycle_fs_structure(
     if y.n < 3:
         raise InvalidArgumentError(f"the cycle case needs n >= 3, got {y.n}")
     comp = y.complement()
-    nu = math.gcd(*(m.bit_count() for m in _component_masks(comp._adj, (1 << comp.n) - 1)))
+    _, nu = _forest_and_gcd(comp)
     toric_count = tutte_eval(comp, 1, 0)
     count = toric_count * nu
     if not include_classes:
@@ -176,11 +171,11 @@ def cycle_fs_structure(
     return CycleStructure(count, nu, toric_count, classes)
 
 
-def _cycle_rule(y: Graph) -> tuple[bool, StructureReport]:
-    """The cycle-case verdict for partner y, with the structure report of
-    its complement that decides it."""
-    report = structure_report(y.complement())
-    return report.is_forest and report.gcd_of_component_sizes == 1, report
+def _forest_and_gcd(g: Graph) -> tuple[bool, int]:
+    """Whether g is a forest, and the gcd of its component sizes, from one
+    component search: a forest has n - c edges for c components."""
+    comps = _component_masks(g._adj, (1 << g.n) - 1)
+    return g.edge_count == g.n - len(comps), math.gcd(*(m.bit_count() for m in comps))
 
 
 # -- star case -----------------------------------------------------------------
@@ -231,9 +226,9 @@ class CutPathCertificate:
     path: tuple[int, ...] | None
 
 
-def _vertex_components(x: Graph, removed: int) -> list[frozenset[int]]:
-    mask = ((1 << x.n) - 1) & ~(1 << (removed - 1))
-    return [frozenset(_mask_to_vertices(m)) for m in _component_masks(x._adj, mask)]
+def _components_without(g: Graph, v: int) -> list[int]:
+    """Vertex masks of the components of g - v, in order of least vertex."""
+    return _component_masks(g._adj, ((1 << g.n) - 1) & ~(1 << (v - 1)))
 
 
 def _separating_path(x: Graph, path: tuple[int, ...]) -> bool:
@@ -242,23 +237,17 @@ def _separating_path(x: Graph, path: tuple[int, ...]) -> bool:
     and deleting each later path vertex leaves R plus the traversed prefix
     as a union of whole components.  A plain chord or a detour around the
     path breaks this and the label-trapping argument with it."""
-    d = len(path)
-    if d == 1:
+    if len(path) == 1:
         return True
-    first_parts = _vertex_components(x, path[0])
-    candidates = [part for part in first_parts if path[1] not in part]
-    for start_side in candidates:
-        ok = True
-        for i in range(2, d + 1):
-            trapped = start_side | frozenset(path[: i - 1])
-            for part in _vertex_components(x, path[i - 1]):
-                overlap = len(part & trapped)
-                if overlap and overlap != len(part):
-                    ok = False
-                    break
-            if not ok:
+    for start_side in _components_without(x, path[0]):
+        if start_side >> (path[1] - 1) & 1:
+            continue
+        trapped = start_side
+        for prev, v in zip(path, path[1:]):
+            trapped |= 1 << (prev - 1)
+            if any(part & trapped not in (0, part) for part in _components_without(x, v)):
                 break
-        if ok:
+        else:
             return True
     return False
 
@@ -346,9 +335,43 @@ def cut_vertex_disconnection(
     x0 = min(rx.cut_vertices)
     y0 = min(ry.cut_vertices)
     bound = _count_margin_matrices(
-        _deleted_component_sizes(x, x0), _deleted_component_sizes(y, y0), {}
+        tuple(m.bit_count() for m in _components_without(x, x0)),
+        tuple(m.bit_count() for m in _components_without(y, y0)),
+        {},
     )
     return {"x_cut_vertex": x0, "y_cut_vertex": y0, "component_lower_bound": bound}
+
+
+def _count_margin_matrices(rows: tuple[int, ...], cols: tuple[int, ...], memo: dict) -> int:
+    """Number of nonnegative integer matrices with row sums `rows` and
+    column sums `cols`.  With the component sizes of X - x0 and Y - y0 as
+    margins (x0, y0 cut vertices), this counts the reachability classes
+    the two cut vertices freeze, a lower bound on the components of
+    FS(X, Y)."""
+    if not rows:
+        return 1 if all(c == 0 for c in cols) else 0
+    key = (rows, tuple(sorted(cols)))
+    if key in memo:
+        return memo[key]
+    target = rows[0]
+    rest = rows[1:]
+    total = 0
+
+    def distribute(idx: int, remaining: int, current: tuple[int, ...]):
+        nonlocal total
+        if idx == len(cols) - 1:
+            if remaining <= cols[idx]:
+                reduced = tuple(
+                    c - (current + (remaining,))[t] for t, c in enumerate(cols)
+                )
+                total += _count_margin_matrices(rest, reduced, memo)
+            return
+        for take in range(min(remaining, cols[idx]) + 1):
+            distribute(idx + 1, remaining - take, current + (take,))
+
+    distribute(0, target, ())
+    memo[key] = total
+    return total
 
 
 # -- connectivity decision -------------------------------------------------------
@@ -359,9 +382,6 @@ class ConnectivityVerdict:
     status: str                    # "connected" | "disconnected" | "unknown"
     theorem: str | None = None
     witness: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        return {"status": self.status, "theorem": self.theorem, "witness": self.witness}
 
 
 def _family_verdict(
@@ -378,15 +398,11 @@ def _family_verdict(
             {"side": side, "complement_edges": missing},
         )
     if n >= 3 and is_cycle_graph(a):
-        ok, report = _cycle_rule(b)
+        forest, gcd = _forest_and_gcd(b.complement())
         return ConnectivityVerdict(
-            "connected" if ok else "disconnected",
+            "connected" if forest and gcd == 1 else "disconnected",
             "cycle-complement-forest",
-            {
-                "side": side,
-                "complement_is_forest": report.is_forest,
-                "component_size_gcd": report.gcd_of_component_sizes,
-            },
+            {"side": side, "complement_is_forest": forest, "component_size_gcd": gcd},
         )
     if n >= 3 and is_star_graph(a):
         structure = _star_structure(b, report(b))
@@ -397,22 +413,20 @@ def _family_verdict(
                 {"side": side, "component_count": structure.component_count},
             )
         return None
-    if n >= 4 and is_lollipop_graph(a):
-        min_deg = min(b.degrees())
-        return ConnectivityVerdict(
-            "connected" if min_deg >= n - 2 else "disconnected",
-            "lollipop-min-degree",
-            {"side": side, "min_degree": min_deg, "threshold": n - 2},
-        )
-    # The n = 4 spindle is the star on 4 vertices and is handled above; the
-    # min-degree characterization for this family is applied from n = 5 up.
-    if n >= 5 and is_dynkin_graph(a):
-        min_deg = min(b.degrees())
-        return ConnectivityVerdict(
-            "connected" if min_deg >= n - 2 else "disconnected",
-            "dynkin-min-degree",
-            {"side": side, "min_degree": min_deg, "threshold": n - 2},
-        )
+    # Connected exactly when the partner's minimum degree reaches n - 2,
+    # each family from its least n.  The n = 4 spindle is the star on 4
+    # vertices and is handled above, so the Dynkin rule starts at n = 5.
+    for recognize, least, theorem in (
+        (is_lollipop_graph, 4, "lollipop-min-degree"),
+        (is_dynkin_graph, 5, "dynkin-min-degree"),
+    ):
+        if n >= least and recognize(a):
+            min_deg = min(b.degrees())
+            return ConnectivityVerdict(
+                "connected" if min_deg >= n - 2 else "disconnected",
+                theorem,
+                {"side": side, "min_degree": min_deg, "threshold": n - 2},
+            )
     return None
 
 
@@ -487,7 +501,7 @@ def decide_connectivity(
 
 def _hereditary_can_prove(y: Graph) -> bool:
     """Necessary condition for hereditary_sufficiency(x, y) to prove FS(X, Y)
-    connected with the default base: min degree of y >= n - base + 1.
+    connected: min degree of y >= n - base + 1.
 
     Write base = DEFAULT_HEREDITARY_BASE (at least 2) and m for the size of
     a pair (xa, ya) inside the recursion.
@@ -521,25 +535,22 @@ class _OutOfNodes(Exception):
 
 
 def hereditary_sufficiency(
-    x: Graph,
-    y: Graph,
-    base_size: int = DEFAULT_HEREDITARY_BASE,
-    config: RunConfig = DEFAULT_CONFIG,
-    max_labelings: int = 24,
+    x: Graph, y: Graph, config: RunConfig = DEFAULT_CONFIG
 ) -> HereditaryResult:
     """Prove FS(X, Y) connected by peeling Hamiltonian-path endpoints.
 
     A relabeling of X along one of its Hamiltonian paths certifies
     connectivity provided Y is connected and deleting any single vertex of
     Y leaves an instance that recurses successfully on (X minus the path's
-    last vertex); at ``base_size`` vertices the recursion bottoms out in a
-    brute-force search.  Failure to certify proves nothing.
+    last vertex); at DEFAULT_HEREDITARY_BASE vertices the recursion bottoms
+    out in a brute-force search.  Failure to certify proves nothing.
 
     The recursion runs on 0-indexed adjacency-mask tuples, not on
     :class:`Graph` objects.  Three caches local to one call derive each
     graph's refined form, each Y's one-vertex deletions and each X's
     deduplicated path minors (X relabeled along one of its first
-    ``max_labelings`` Hamiltonian paths, minus the last vertex) once.
+    DEFAULT_HEREDITARY_LABELINGS Hamiltonian paths, minus the last vertex)
+    once.
 
     At most DEFAULT_HEREDITARY_NODE_BUDGET pairs are expanded (a base case,
     a disconnected partner or a memo hit is not an expansion).  When the
@@ -548,8 +559,6 @@ def hereditary_sufficiency(
     """
     if x.n != y.n:
         raise InvalidArgumentError("X and Y must have the same number of vertices")
-    if base_size < 1:
-        raise InvalidArgumentError(f"base_size must be positive, got {base_size}")
     if has_hamiltonian_path(x) is None:
         raise InvalidArgumentError("the recursion needs X to have a Hamiltonian path")
     # Sound: FS(X, Y) connectivity depends only on the classes of X and Y.
@@ -570,7 +579,8 @@ def hereditary_sufficiency(
         """(labeling number, path minor) per path, the first of each form."""
         tried: set = set()
         found = []
-        for labelings, path in zip(range(1, max_labelings + 1), _hamiltonian_paths(adj)):
+        paths = zip(range(1, DEFAULT_HEREDITARY_LABELINGS + 1), _hamiltonian_paths(adj))
+        for labelings, path in paths:
             sub = _path_minor(adj, path)
             sub_form = form(sub)
             if sub_form not in tried:
@@ -581,7 +591,7 @@ def hereditary_sufficiency(
     def prove(xa: tuple[int, ...], ya: tuple[int, ...]) -> bool:
         nonlocal expansions
         n = len(xa)
-        if n <= base_size:
+        if n <= DEFAULT_HEREDITARY_BASE:
             key = (form(xa), form(ya))
             ok = memo.get(key)
             if ok is None:

@@ -7,7 +7,8 @@ import itertools
 import math
 
 from fsgraph import FSInstance, Graph, induced_subgraph, linear_extensions, phi, structure_report
-from fsgraph.fscore import _count_margin_matrices, _deleted_component_sizes, component_count
+from fsgraph.fscore import component_count
+from fsgraph.theorems import _components_without, _count_margin_matrices
 
 
 def class_extensions(cls) -> frozenset:
@@ -36,7 +37,9 @@ def checked_phi(partition, class_id: int) -> int:
 def margin_count(x: Graph, y: Graph, x0: int, y0: int) -> int:
     """Margin matrices of the cut vertices x0 of X and y0 of Y: row sums
     the component sizes of X - x0, column sums those of Y - y0."""
-    return _count_margin_matrices(_deleted_component_sizes(x, x0), _deleted_component_sizes(y, y0), {})
+    rows = tuple(m.bit_count() for m in _components_without(x, x0))
+    cols = tuple(m.bit_count() for m in _components_without(y, y0))
+    return _count_margin_matrices(rows, cols, {})
 
 
 def _ordered_set_partitions(universe: tuple[int, ...], sizes: tuple[int, ...]):

@@ -30,7 +30,7 @@ from fsgraph import (
     is_connected,
     structure_report,
 )
-from fsgraph import fscore, iso
+from fsgraph import cli, fscore, iso
 from fsgraph.fscore import _component_sweep, fs_to_dot
 from fsgraph.theorems import cut_vertex_disconnection
 from fsgraph.iso import enumerate_nonisomorphic
@@ -412,7 +412,7 @@ def test_sweep_stops_once_every_state_is_seen(monkeypatch):
     report = components(connected)
     assert (report.component_count, report.explored_vertices) == (1, 720)
     assert report.representatives == (Permutation.identity(6),)
-    assert drawn == [tuple(range(6))]   # no start past its one component
+    assert drawn == [tuple(range(1, 7))]   # no start past its one component
     # A split instance stops right after the search whose orbit fills the
     # visited set: the last word drawn opened the last BFS, before the least
     # word of the last component, where the plain sweep would stop.
@@ -428,8 +428,8 @@ def test_sweep_stops_once_every_state_is_seen(monkeypatch):
     report = components(FSInstance(build_named("path", 4), build_named("path", 4)))
     assert report.component_count == 8 and report.explored_vertices == 24
     assert starts[-1] == bytes(drawn[-1])
-    last = tuple(v - 1 for v in report.representatives[-1].word)
-    plain_draws = list(itertools.permutations(range(4))).index(last) + 1
+    last = tuple(report.representatives[-1])
+    plain_draws = list(itertools.permutations(range(1, 5))).index(last) + 1
     assert len(drawn) < plain_draws
 
 
@@ -438,7 +438,7 @@ def test_withheld_report_serialises_its_size_counts():
     config = RunConfig(listing_cap=7)
     report = _component_sweep(inst, config, config.listing_cap)
     assert report.representatives is None
-    assert report.to_json_dict(4, config) == {
+    assert cli._component_json(report, 4, config) == {
         "n": 4,
         "component_count": 8,
         "sizes": None,
@@ -446,7 +446,7 @@ def test_withheld_report_serialises_its_size_counts():
         "representatives": None,
         "representatives_error": "8 components exceed the listing cap of 7",
     }
-    full = components(inst).to_json_dict(4)
+    full = cli._component_json(components(inst), 4, config)
     assert full["sizes"] == [1, 1, 3, 3, 3, 3, 5, 5] and len(full["representatives"]) == 8
 
 

@@ -798,6 +798,19 @@ def test_closure_cap_bounds_orientations_times_selections():
     assert _flip_selections(build_named("complete", 7), 1, 1) == 0
 
 
+def test_flip_with_no_legal_selection_answers_at_once():
+    # A 16-edge perfect matching has no 18 pairwise non-adjacent vertices,
+    # so no (9, 9)-flip applies and each of its 2^16 orientations is a
+    # class; listing the moves would walk its 3^16 smaller independent sets.
+    matching = Graph(32, [(2 * i + 1, 2 * i + 2) for i in range(16)])
+    assert _flip_selections(matching, 9, 9) == 0
+    start = time.perf_counter()
+    partition = partition_by_moves(matching, "ab_flip", 9, 9)
+    assert time.perf_counter() - start < 2
+    assert partition.class_count == 65536
+    assert all(len(cls) == 1 for cls in partition.classes)
+
+
 def test_move_closure_asserts_that_moves_stay_in_the_acyclic_set():
     # Handing the closure an incomplete set makes a legal flip land outside it.
     path = build_named("path", 3)

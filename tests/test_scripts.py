@@ -1,5 +1,6 @@
 """The scripts under scripts/ refuse oversized runs the way the CLI does:
-one line on stderr and exit status 3, no traceback."""
+one line on stderr and exit status 3, no traceback; the CLI digest does
+not depend on the hash seed."""
 
 import os
 import subprocess
@@ -11,8 +12,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, hash_seed=None):
     env = dict(os.environ)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
@@ -42,3 +45,14 @@ def test_component_tables_small_run_agrees():
     done = run_script("component_tables.py", "--n", "4", "--family", "path")
     assert done.returncode == 0
     assert done.stdout.rstrip().endswith("mismatches: 0")
+
+
+def test_cli_digest_does_not_depend_on_the_hash_seed():
+    # CLI output must not follow set or dict hash order.
+    outputs = []
+    for seed in ("0", "12345"):
+        done = run_script("cli_digest.py", hash_seed=seed)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].startswith("3486 calls sha256 ")
+    assert outputs[0] == outputs[1]

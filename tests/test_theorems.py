@@ -30,7 +30,7 @@ from fsgraph import (
     star_fs_structure,
     structure_report,
 )
-from fsgraph.config import DEFAULT_CONFIG, DEFAULT_HEREDITARY_BASE
+from fsgraph.config import DEFAULT_CONFIG, DEFAULT_HEREDITARY_BASE, DEFAULT_HEREDITARY_LABELINGS
 from fsgraph.graphs import (
     delete_vertex,
     has_hamiltonian_path,
@@ -526,12 +526,6 @@ def test_hereditary_gate_declines_only_unprovable_partners(monkeypatch):
     assert [decide_connectivity(a, b) for a, b in pairs] == gated
 
 
-def test_hereditary_rejects_nonpositive_base():
-    x = build_named("lollipop", k=3, m=3)
-    with pytest.raises(InvalidArgumentError):
-        hereditary_sufficiency(x, build_named("complete", 6), base_size=0)
-
-
 def test_hereditary_gives_up_when_its_node_budget_runs_out(monkeypatch):
     x = build_named("lollipop", k=4, m=3)
     y = _matching_complement(7, 1)
@@ -570,9 +564,7 @@ def test_decide_answers_dense_partners_within_the_node_budget():
     assert not result.proven_connected and "budget" in result.trace[-1]
 
 
-def _reference_hereditary(
-    x, y, base_size=DEFAULT_HEREDITARY_BASE, config=DEFAULT_CONFIG, max_labelings=24
-):
+def _reference_hereditary(x, y):
     """The recursion on Graph objects, kept as the reference that the
     mask-level implementation must match trace for trace."""
     memo: dict = {}
@@ -581,11 +573,11 @@ def _reference_hereditary(
 
     def prove(xg, yg):
         n = xg.n
-        if n <= base_size:
+        if n <= DEFAULT_HEREDITARY_BASE:
             key = (form(xg), form(yg))
             ok = memo.get(key)
             if ok is None:
-                ok = memo[key] = is_connected(FSInstance(xg, yg), config)
+                ok = memo[key] = is_connected(FSInstance(xg, yg))
             if len(trace) < 200:
                 trace.append(f"base n={n}: brute force says {'connected' if ok else 'disconnected'}")
             return ok
@@ -602,7 +594,7 @@ def _reference_hereditary(
         labelings = 0
         for path in iter_hamiltonian_paths(xg):
             labelings += 1
-            if labelings > max_labelings:
+            if labelings > DEFAULT_HEREDITARY_LABELINGS:
                 break
             relabel = {v: i for i, v in enumerate(path, start=1)}
             xr = xg.relabel(relabel)
@@ -634,9 +626,8 @@ def test_hereditary_matches_graph_object_reference():
         if has_hamiltonian_path(x) is None:
             continue
         y = random_graph(rng, n, rng.choice([0.4, 0.55, 0.7]))
-        max_labelings = rng.choice([3, 24])
-        got = hereditary_sufficiency(x, y, max_labelings=max_labelings)
-        assert got == _reference_hereditary(x, y, max_labelings=max_labelings), (x, y)
+        got = hereditary_sufficiency(x, y)
+        assert got == _reference_hereditary(x, y), (x, y)
         pairs += 1
         proven += got.proven_connected
     # Both verdicts occur, so the comparison covers certified and failed branches.
