@@ -18,7 +18,9 @@ The battery, graphs given one per isomorphism class as inline JSON:
 - ``tutte eval`` at (2, 0), (1, 0), (1, 1) and (2, 1) for n <= 6;
 - ``fs components``, ``fs components --listing-cap 2`` and
   ``fs connected`` on every ordered pair of classes with n <= 4;
-- ``decide`` on every ordered pair of classes with n <= 5.
+- ``decide`` on every ordered pair of classes with n <= 5, once with the
+  graphs as inline JSON and once as graph6 strings, so that both parsers
+  feed the certificate chain.
 
 Usage:
     python scripts/cli_digest.py
@@ -32,7 +34,7 @@ import io
 import json
 
 from fsgraph import cli
-from fsgraph.graphio import graph_to_json_dict
+from fsgraph.graphio import graph_to_json_dict, to_graph6
 from fsgraph.iso import enumerate_nonisomorphic
 
 
@@ -68,6 +70,11 @@ def battery():
     for n in range(1, 6):
         for x in specs[n]:
             for y in specs[n]:
+                yield ["decide", "--x", x, "--y", y]
+    for n in range(1, 6):
+        graph6 = [to_graph6(g) for g in enumerate_nonisomorphic(n)]
+        for x in graph6:
+            for y in graph6:
                 yield ["decide", "--x", x, "--y", y]
 
 

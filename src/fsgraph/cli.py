@@ -24,7 +24,7 @@ import random
 import sys
 from collections import Counter
 
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
 from .fscore import (
     ComponentReport,
@@ -280,6 +280,8 @@ def _cmd_oracle_sweep(args, config: RunConfig):
             raise InvalidArgumentError(f"{flag} must be non-negative, got {value}")
     if args.max_n > 0:
         enumerate_nonisomorphic(args.max_n)   # refuses past n = 8 before any check
+    if args.random:
+        _check_random_sweep(args.random, len(families), args.random_n, config)
     checked = 0
     mismatches: list[dict] = []
 
@@ -329,6 +331,23 @@ def _cmd_oracle_sweep(args, config: RunConfig):
                 check(family, y)
     payload = {"checked": checked, "mismatches": mismatches}
     return payload, (1 if mismatches else 0)
+
+
+def _check_random_sweep(count: int, families: int, n: int, config: RunConfig) -> None:
+    """Refuse a random sweep whose searches would explore more than the
+    state cap in all: one n! search per graph and family."""
+    if n < 1:
+        raise InvalidArgumentError(f"--random-n must be positive, got {n}")
+    states = count * families
+    k = 1
+    while 0 < states <= config.state_cap and k < n:   # stops once past the cap
+        k += 1
+        states *= k
+    if states > config.state_cap:
+        raise ResourceLimitError(
+            f"{count} random graphs x {families} families x {n}! states exceeds "
+            f"the configured cap of {config.state_cap}"
+        )
 
 
 # -- parser ---------------------------------------------------------------------
@@ -450,7 +469,7 @@ def _config_from_args(args) -> RunConfig:
         for name in ("state_cap", "listing_cap")
         if (value := getattr(args, name, None)) is not None
     }
-    return RunConfig(**caps)
+    return RunConfig(**caps) if caps else DEFAULT_CONFIG
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ scale.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .errors import InvalidArgumentError
@@ -72,38 +73,48 @@ def to_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
+@functools.cache
+def _graph6_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per bit of a graph6 body read as one integer (padding shifted out),
+    lowest bit first: (i, 1 << j, j, 1 << i) for the vertex pair {i, j}
+    it stands for, 0-indexed.  The body lists the pairs i < j column by
+    column (j = 1..n-1) from its highest bit down."""
+    order = [(i, j) for j in range(1, n) for i in range(j)]
+    return tuple((i, 1 << j, j, 1 << i) for i, j in reversed(order))
+
+
 def from_graph6(text: str) -> Graph:
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
         raise InvalidArgumentError("empty graph6 string")
-    vals = [ord(c) - 63 for c in s]
-    if any(v < 0 or v > 63 for v in vals):
+    data = s.encode("utf-8", "surrogatepass")   # non-ASCII encodes above 127
+    if min(data) < 63 or max(data) > 126:
         raise InvalidArgumentError(f"invalid graph6 characters in {text!r}")
-    n = vals[0]
+    n = data[0] - 63
     if n > GRAPH6_MAX_N:
         raise InvalidArgumentError(f"only the short graph6 size form (n <= {GRAPH6_MAX_N}) is supported")
     if n == 0:
         raise InvalidArgumentError("graph6 string encodes an empty vertex set")
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = vals[1:]
-    if len(body) != need:
+    pairs = _graph6_pairs(n)
+    need = (len(pairs) + 5) // 6
+    if len(data) - 1 != need:
         raise InvalidArgumentError(
-            f"graph6 body has {len(body)} groups, expected {need} for n={n}"
+            f"graph6 body has {len(data) - 1} groups, expected {need} for n={n}"
         )
-    bits = []
-    for v in body:
-        for t in range(5, -1, -1):
-            bits.append(v >> t & 1)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i + 1, j + 1))
-            idx += 1
-    return Graph(n, edges)
+    body = 0
+    for c in data[1:]:
+        body = body << 6 | c - 63
+    body >>= 6 * need - len(pairs)   # the padding bits are ignored
+    adj = [0] * n
+    while body:
+        low = body & -body
+        body ^= low
+        i, j_bit, j, i_bit = pairs[low.bit_length() - 1]
+        adj[i] |= j_bit
+        adj[j] |= i_bit
+    return Graph._from_masks(adj)
 
 
 def parse_graph(text: str) -> Graph:

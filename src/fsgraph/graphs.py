@@ -110,7 +110,7 @@ class Graph:
         return self._adj[i - 1].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self._adj)
+        return tuple(map(int.bit_count, self._adj))
 
     def _check_vertex(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -315,60 +315,86 @@ def _mask_to_vertices(mask: int) -> tuple[int, ...]:
 
 
 def structure_report(g: Graph) -> StructureReport:
-    """All the structural predicates the connectivity theorems condition on."""
+    """All the structural predicates the connectivity theorems condition on,
+    read off the adjacency masks in one pass per fact.
+
+    - Components and the two-colouring come from one breadth-first search
+      by mask layers, started at each component's least vertex (so the
+      components come in order of least vertex).  The graph is bipartite
+      exactly when no layer holds an edge; side A holds the even layers.
+      A bipartition needs both parts nonempty, so a single vertex is not
+      bipartite and an edgeless graph on n >= 2 vertices gets its largest
+      vertex moved to side B.
+    - A vertex of degree >= 2 is a cut vertex when one of its neighbours
+      does not reach all the others inside the graph minus the vertex;
+      the search stops once it has reached them all.  Only vertices with
+      a child in the breadth-first search tree are searched: a leaf of a
+      spanning tree, or a vertex of degree <= 1, is never a cut vertex.
+    """
+    adj = g._adj
     n = g.n
-    full = (1 << n) - 1
-    comp_masks = _component_masks(g._adj, full)
-    comp_masks.sort(key=lambda m: (m & -m))
-    components = tuple(_mask_to_vertices(m) for m in comp_masks)
+    comp_masks = []
+    sides = [0, 0]   # vertices at even and at odd depth
+    inner = 0        # ends of the edges inside a layer
+    parents = 0      # vertices with a child in the search tree
+    remaining = (1 << n) - 1
+    while remaining:
+        layer = comp = remaining & -remaining
+        depth = 0
+        while layer:
+            sides[depth] |= layer
+            reached = 0
+            rest = layer
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                nbrs = adj[bit.bit_length() - 1]
+                inner |= nbrs & layer
+                if nbrs & ~(comp | reached):
+                    parents |= bit
+                reached |= nbrs
+            layer = reached & ~comp
+            comp |= layer
+            depth ^= 1
+        comp_masks.append(comp)
+        remaining &= ~comp
     sizes = [m.bit_count() for m in comp_masks]
     connected = len(comp_masks) == 1
 
-    # Two-coloring; a bipartition here needs both parts nonempty, so a
-    # single vertex is not bipartite and an edgeless graph on n >= 2 gets
-    # one vertex moved across.
-    color = [-1] * n
-    bipartite = n >= 2
-    for mask in comp_masks:
-        if not bipartite:
-            break
-        seed = (mask & -mask).bit_length() - 1
-        color[seed] = 0
-        stack = [seed]
-        while stack and bipartite:
-            v = stack.pop()
-            nbrs = g._adj[v] & mask
-            while nbrs:
-                u_bit = nbrs & -nbrs
-                nbrs &= nbrs - 1
-                u = u_bit.bit_length() - 1
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    bipartite = False
-                    break
+    bipartite = n >= 2 and not inner
     bipartition = None
     if bipartite:
-        side_a = [v + 1 for v in range(n) if color[v] == 0]
-        side_b = [v + 1 for v in range(n) if color[v] == 1]
+        side_a = _mask_to_vertices(sides[0])
+        side_b = _mask_to_vertices(sides[1])
         if not side_b:
-            side_b = [side_a.pop()]
-        bipartition = (tuple(side_a), tuple(side_b))
+            side_a, side_b = side_a[:-1], side_a[-1:]
+        bipartition = (side_a, side_b)
 
     cut = []
-    if n >= 2:
-        base = len(comp_masks)
-        for v in range(n):
-            rest = full & ~(1 << v)
-            if len(_component_masks(g._adj, rest)) > base:
-                cut.append(v + 1)
+    while parents:
+        bit = parents & -parents
+        parents ^= bit
+        v = bit.bit_length() - 1
+        nbrs = adj[v]
+        if nbrs & (nbrs - 1) == 0:   # degree <= 1
+            continue
+        low = nbrs & -nbrs
+        reach = low | bit
+        frontier = low
+        while frontier and nbrs & ~reach:
+            u_bit = frontier & -frontier
+            frontier ^= u_bit
+            new = adj[u_bit.bit_length() - 1] & ~reach
+            reach |= new
+            frontier |= new
+        if nbrs & ~reach:
+            cut.append(v + 1)
     cut_vertices = frozenset(cut)
 
     degs = g.degrees()
     forest = g.edge_count == n - len(comp_masks)
-    report = StructureReport(
-        components=components,
+    return StructureReport(
+        components=tuple(map(_mask_to_vertices, comp_masks)),
         is_connected=connected,
         is_bipartite=bipartite,
         bipartition=bipartition,
@@ -380,7 +406,6 @@ def structure_report(g: Graph) -> StructureReport:
         tree_sizes=tuple(sorted(sizes)) if forest else None,
         gcd_of_component_sizes=math.gcd(*sizes),
     )
-    return report
 
 
 # -- Hamiltonian paths ----------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -384,12 +383,24 @@ class ConnectivityVerdict:
     witness: dict | None = None
 
 
+def _report(reports: dict[Graph, StructureReport], g: Graph) -> StructureReport:
+    """g's structure report, built on the first request and kept in
+    ``reports``."""
+    report = reports.get(g)
+    if report is None:
+        report = reports[g] = structure_report(g)
+    return report
+
+
 def _family_verdict(
-    a: Graph, b: Graph, side: str, report: Callable[[Graph], StructureReport]
+    a: Graph, b: Graph, side: str, reports: dict[Graph, StructureReport]
 ) -> ConnectivityVerdict | None:
     """Exact characterizations when the position graph `a` is a named family;
-    ``report`` gives a graph's structure report."""
+    ``reports`` holds the structure reports built so far.  Every family
+    recognised here has n - 1 or n edges."""
     n = a.n
+    if not n - 1 <= a.edge_count <= n:
+        return None
     if is_path_graph(a):
         missing = b.complement().edge_count
         return ConnectivityVerdict(
@@ -405,7 +416,7 @@ def _family_verdict(
             {"side": side, "complement_is_forest": forest, "component_size_gcd": gcd},
         )
     if n >= 3 and is_star_graph(a):
-        structure = _star_structure(b, report(b))
+        structure = _star_structure(b, _report(reports, b))
         if structure is not None:
             return ConnectivityVerdict(
                 "connected" if structure.component_count == 1 else "disconnected",
@@ -442,8 +453,13 @@ def decide_connectivity(
     sufficiency recursion on each side whose X has a Hamiltonian path.
     A side is skipped unless its partner has minimum degree at least
     n - DEFAULT_HEREDITARY_BASE + 1, without which the recursion cannot
-    succeed (see :func:`_hereditary_can_prove`).  Each graph's structure
-    report is built at most once.
+    succeed (see :func:`_hereditary_can_prove`).
+
+    Each graph's structure report (components, two-colouring, cut
+    vertices and degrees, each found in one pass over its adjacency
+    masks) is built at most once, kept in a plain dict, and every later
+    rung reads its facts from there: the star rule, the disconnection
+    certificates and the minimum-degree gate of the hereditary rung.
     """
     if x.n != y.n:
         raise InvalidArgumentError("X and Y must have the same number of vertices")
@@ -456,14 +472,14 @@ def decide_connectivity(
             "connected" if ok else "disconnected", "tiny", {"n": 2}
         )
 
-    report = lru_cache(maxsize=None)(structure_report)
+    reports: dict[Graph, StructureReport] = {}
     for a, b, side in ((x, y, "x"), (y, x, "y")):
-        verdict = _family_verdict(a, b, side, report)
+        verdict = _family_verdict(a, b, side, reports)
         if verdict is not None:
             return verdict
 
-    rx = report(x)
-    ry = report(y)
+    rx = _report(reports, x)
+    ry = _report(reports, y)
     if not rx.is_connected or not ry.is_connected:
         return ConnectivityVerdict(
             "disconnected",
@@ -485,8 +501,8 @@ def decide_connectivity(
     if witness is not None:
         return ConnectivityVerdict("disconnected", "cut-vertex-margins", witness)
 
-    for a, b, side in ((x, y, "x"), (y, x, "y")):
-        if not _hereditary_can_prove(b) or has_hamiltonian_path(a) is None:
+    for a, b, rb, side in ((x, y, ry, "x"), (y, x, rx, "y")):
+        if not _hereditary_can_prove(n, rb.min_degree) or has_hamiltonian_path(a) is None:
             continue
         result = hereditary_sufficiency(a, b, config=config)
         if result.proven_connected:
@@ -499,9 +515,10 @@ def decide_connectivity(
     return ConnectivityVerdict("unknown")
 
 
-def _hereditary_can_prove(y: Graph) -> bool:
+def _hereditary_can_prove(n: int, min_degree: int) -> bool:
     """Necessary condition for hereditary_sufficiency(x, y) to prove FS(X, Y)
-    connected: min degree of y >= n - base + 1.
+    connected, given the vertex count n and the minimum degree of y:
+    min degree of y >= n - base + 1.
 
     Write base = DEFAULT_HEREDITARY_BASE (at least 2) and m for the size of
     a pair (xa, ya) inside the recursion.
@@ -518,7 +535,7 @@ def _hereditary_can_prove(y: Graph) -> bool:
       vertex isolated among >= base vertices.  So min degree
       >= n - base + 1 is necessary.
     """
-    return min(y.degrees()) > y.n - DEFAULT_HEREDITARY_BASE
+    return min_degree > n - DEFAULT_HEREDITARY_BASE
 
 
 # -- hereditary recursion ---------------------------------------------------------

@@ -343,6 +343,22 @@ def test_oracle_sweep_with_random(capsys):
     assert json.loads(out)["mismatches"] == []
 
 
+def test_oracle_sweep_refuses_random_sweeps_past_the_state_cap(capsys):
+    # 10**7 graphs x 3 families x 6! states would run for hours; the
+    # refusal comes before any search.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle-sweep", "--max-n", "0", "--random", "10000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: ") and "exceeds the configured cap of 400000" in err
+    # The bound counts families and honours --state-cap: 2 x 1 x 4! = 48.
+    argv = ("oracle-sweep", "--max-n", "0", "--random", "2", "--random-n", "4", "--families", "path")
+    assert run_cli(capsys, *argv, "--state-cap", "48")[0] == 0
+    assert run_cli(capsys, *argv, "--state-cap", "47")[0] == 3
+    code, out, err = run_cli(capsys, "oracle-sweep", "--random", "1", "--random-n", "0")
+    assert (code, out) == (2, "")
+
+
 def test_decide_on_symmetric_and_disconnected_inputs_is_fast(capsys):
     paw_and_cycle = disjoint_union(PAW, build_named("cycle", 10))
     cases = (

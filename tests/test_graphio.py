@@ -75,3 +75,56 @@ def test_dot_output_contains_all_parts():
     assert "graph G {" in dot
     assert "1 -- 2;" in dot
     assert "3;" in dot  # isolated vertex still listed
+
+
+def _reference_graph6_edges(text):
+    """The 1-indexed edges a graph6 string lists, decoded bit by bit: the
+    body's 6-bit groups, high bit first, give the pairs i < j column by
+    column."""
+    n = ord(text[0]) - 63
+    bits = [ord(c) - 63 >> t & 1 for c in text[1:] for t in range(5, -1, -1)]
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    return [pair for pair, bit in zip(pairs, bits) if bit]
+
+
+def test_graph6_round_trip_at_every_size():
+    rng = random.Random(62)
+    for n in range(1, 63):
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            text = to_graph6(g)
+            decoded = from_graph6(text)
+            assert decoded == g
+            assert decoded.edges == Graph(n, _reference_graph6_edges(text)).edges == g.edges
+            assert decoded.degrees() == g.degrees()
+
+
+def test_graph6_ignores_padding_bits():
+    rng = random.Random(6)
+    for n in range(2, 63):
+        pad = -(n * (n - 1) // 2) % 6
+        if not pad:
+            continue
+        g = random_graph(rng, n)
+        text = to_graph6(g)
+        padded = text[:-1] + chr(63 + (ord(text[-1]) - 63 | (1 << pad) - 1))
+        assert padded != text
+        assert from_graph6(padded) == g
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("?", "empty vertex set"),
+        ("~" + "?" * 316, "short graph6 size form"),
+        ("D?", "body has 1 groups, expected 2 for n=5"),
+        ("D????", "body has 4 groups, expected 2 for n=5"),
+        ("D ?", "invalid graph6 characters"),
+        ("D?\x7f", "invalid graph6 characters"),
+        ("D?é", "invalid graph6 characters"),
+        ("D?\udcff", "invalid graph6 characters"),
+    ],
+)
+def test_graph6_errors_still_raise(text, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        from_graph6(text)

@@ -294,6 +294,90 @@ def test_biconnected_means_every_deletion_stays_connected():
         assert r.is_biconnected == (r.is_connected and n >= 2 and deletions_ok)
 
 
+def _reference_components(n, edges, removed=None):
+    """Components of the graph minus `removed`, as sorted vertex tuples in
+    order of least vertex, from a plain union-find over the edge list."""
+    parent = {v: v for v in range(1, n + 1) if v != removed}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        if removed not in (a, b):
+            parent[root(a)] = root(b)
+    groups = {}
+    for v in parent:
+        groups.setdefault(root(v), []).append(v)
+    return sorted(tuple(sorted(c)) for c in groups.values())
+
+
+def _reference_report(g):
+    """The structure-report fields straight from their definitions: a cut
+    vertex is one whose deletion raises the component count; the
+    bipartition is the proper 2-colouring, found by trying every colouring,
+    with the least vertex of each component on side A (an edgeless graph
+    on n >= 2 vertices moves its largest vertex to side B)."""
+    n, edges = g.n, g.edges
+    components = _reference_components(n, edges)
+    cut = frozenset(
+        v for v in range(1, n + 1) if len(_reference_components(n, edges, v)) > len(components)
+    )
+    leaders = {c[0] for c in components}
+    others = [v for v in range(1, n + 1) if v not in leaders]
+    colourings = []
+    for sides in itertools.product((0, 1), repeat=len(others)):
+        colour = dict(zip(others, sides))
+        colour.update((v, 0) for v in leaders)
+        if all(colour[a] != colour[b] for a, b in edges):
+            colourings.append(colour)
+    assert len(colourings) <= 1
+    bipartition = None
+    if n >= 2 and colourings:
+        side_a = tuple(v for v in range(1, n + 1) if colourings[0][v] == 0)
+        side_b = tuple(v for v in range(1, n + 1) if colourings[0][v] == 1)
+        if not side_b:
+            side_a, side_b = side_a[:-1], side_a[-1:]
+        bipartition = (side_a, side_b)
+    connected = len(components) == 1
+    degrees = [sum(v in e for e in edges) for v in range(1, n + 1)]
+    return {
+        "components": tuple(components),
+        "is_connected": connected,
+        "is_bipartite": bipartition is not None,
+        "bipartition": bipartition,
+        "cut_vertices": cut,
+        "is_biconnected": n >= 2
+        and connected
+        and all(len(_reference_components(n, edges, v)) == 1 for v in range(1, n + 1)),
+        "min_degree": min(degrees),
+        "max_degree": max(degrees),
+    }
+
+
+def _report_fields(g):
+    r = structure_report(g)
+    return {name: getattr(r, name) for name in _reference_report(g)}
+
+
+def test_structure_report_matches_definitions_on_every_small_graph():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+            assert _report_fields(g) == _reference_report(g), g
+
+
+def test_structure_report_matches_definitions_on_random_graphs():
+    rng = random.Random(17)
+    for n in range(1, 13):
+        for p in (0.15, 0.3, 0.5):
+            for _ in range(6):
+                g = random_graph(rng, n, p)
+                assert _report_fields(g) == _reference_report(g), g
+
+
 # -- Hamiltonian paths --------------------------------------------------------------
 
 

@@ -54,5 +54,5 @@ def test_cli_digest_does_not_depend_on_the_hash_seed():
         done = run_script("cli_digest.py", hash_seed=seed)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
-    assert outputs[0].startswith("3486 calls sha256 ")
+    assert outputs[0].startswith("4784 calls sha256 ")
     assert outputs[0] == outputs[1]

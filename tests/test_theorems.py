@@ -484,12 +484,17 @@ def test_hereditary_never_proves_disconnected_instances_fuzz():
             assert is_connected(FSInstance(x, y))
 
 
+def _gate_allows(b):
+    """Whether the hereditary gate of decide_connectivity lets partner b through."""
+    return theorems._hereditary_can_prove(b.n, min(b.degrees()))
+
+
 def _gate_declined_pairs():
     """(a, b) with a Hamiltonian path in a and a partner b that the
     hereditary gate of decide_connectivity declines: every pair of
     isomorphism classes at n = 6, then seeded pairs at n = 7 and 8."""
     classes = enumerate_nonisomorphic(6)
-    declined = [b for b in classes if not theorems._hereditary_can_prove(b)]
+    declined = [b for b in classes if not _gate_allows(b)]
     for a in classes:
         if has_hamiltonian_path(a) is not None:
             for b in declined:
@@ -501,7 +506,7 @@ def _gate_declined_pairs():
         while found < 30:
             a = random_graph(rng, n, rng.choice(densities))
             b = random_graph(rng, n, rng.choice(densities))
-            if has_hamiltonian_path(a) is None or theorems._hereditary_can_prove(b):
+            if has_hamiltonian_path(a) is None or _gate_allows(b):
                 continue
             found += 1
             yield a, b
@@ -522,7 +527,7 @@ def test_hereditary_gate_declines_only_unprovable_partners(monkeypatch):
         assert not hereditary(a, b).proven_connected, (a, b)
     assert len(pairs) == 8554 + 60
     gated = [decide_connectivity(a, b) for a, b in pairs]
-    monkeypatch.setattr(theorems, "_hereditary_can_prove", lambda y: True)
+    monkeypatch.setattr(theorems, "_hereditary_can_prove", lambda n, min_degree: True)
     assert [decide_connectivity(a, b) for a, b in pairs] == gated
 
 
@@ -555,7 +560,7 @@ def _dense_partner_pair(n: int, seed: int) -> tuple[Graph, Graph]:
 
 def test_decide_answers_dense_partners_within_the_node_budget():
     x, y = _dense_partner_pair(30, 30)
-    assert min(y.degrees()) == 26 and theorems._hereditary_can_prove(y)
+    assert min(y.degrees()) == 26 and _gate_allows(y)
     start = time.perf_counter()
     verdict = decide_connectivity(x, y)
     assert time.perf_counter() - start < 5
