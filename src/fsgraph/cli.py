@@ -5,14 +5,10 @@ Graphs are accepted in three forms wherever a graph flag appears:
 JSON object ``{"n": ..., "edges": [[i, j], ...]}``, a graph6 string, or
 ``@FILE`` to read either textual form from a file.  All results are
 printed as JSON on standard output; exit status is 0 on success, 2 on
-invalid input (an unknown flag included), 3 when a resource cap refuses
-the computation, and 1 when an oracle sweep finds a mismatch.
-
-A command takes a cap flag only when the cap bounds its work:
-``--state-cap`` (explored FS states) goes with ``fs components``,
-``fs connected``, ``decide`` and ``oracle-sweep``, and ``--listing-cap``
-(entries listed) with ``fs components``, ``path structure``,
-``cycle structure`` and ``acyc enumerate``.
+invalid input (an unknown command or flag included), 3 when a resource
+cap refuses the computation, and 1 when an oracle sweep finds a mismatch.
+Each command's words, handler, help line and flags appear once, in
+``_COMMANDS``.
 """
 
 from __future__ import annotations
@@ -77,7 +73,7 @@ def read_graph(spec: str) -> Graph:
         try:
             with open(spec[1:], "r", encoding="utf-8") as fh:
                 spec = fh.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidArgumentError(f"cannot read graph file: {exc}") from exc
     if spec.startswith("family:"):
         return _family_graph(spec)
@@ -350,117 +346,89 @@ def _check_random_sweep(count: int, families: int, n: int, config: RunConfig) ->
         )
 
 
-# -- parser ---------------------------------------------------------------------
+# -- command table ------------------------------------------------------------
 
+_GRAPH = {"required": True}
+_FORMAT = {"choices": ("json", "dot"), "default": "json"}
+_STATE_CAP = {"type": int, "help": "max explored FS states"}
+_LISTING_CAP = {"type": int, "help": "max entries listed"}
+_LIST = {"action": "store_true", "help": "also list the component classes"}
 
-def _add_state_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state-cap", type=int, default=None, help="max explored FS states")
-
-
-def _add_listing_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--listing-cap", type=int, default=None, help="max entries listed")
+# Command words -> (handler, one-line help, {flag: add_argument settings}).
+# A command takes a cap flag only when the cap bounds its work.
+_COMMANDS = {
+    ("fs", "components"): (_cmd_fs_components, "exhaustive component report", {
+        "--x": _GRAPH, "--y": _GRAPH, "--format": _FORMAT,
+        "--state-cap": _STATE_CAP, "--listing-cap": _LISTING_CAP,
+    }),
+    ("fs", "connected"): (_cmd_fs_connected, "single connectivity check", {
+        "--x": _GRAPH, "--y": _GRAPH, "--state-cap": _STATE_CAP,
+    }),
+    ("fs", "neighbors"): (_cmd_fs_neighbors, "friendly-swap neighbors of one permutation", {
+        "--x": _GRAPH, "--y": _GRAPH, "--sigma": {"required": True},
+    }),
+    ("path", "structure"): (_cmd_path_structure, "components of FS(Path_n, Y)", {
+        "--y": _GRAPH, "--list": _LIST, "--format": _FORMAT, "--listing-cap": _LISTING_CAP,
+    }),
+    ("cycle", "structure"): (_cmd_cycle_structure, "components of FS(Cycle_n, Y)", {
+        "--y": _GRAPH, "--list": _LIST, "--format": _FORMAT, "--listing-cap": _LISTING_CAP,
+    }),
+    ("star", "structure"): (_cmd_star_structure, "components of FS(Star_n, Y), biconnected Y", {
+        "--y": _GRAPH, "--format": _FORMAT,
+    }),
+    ("acyc", "enumerate"): (_cmd_acyc_enumerate, "list all acyclic orientations", {
+        "--g": _GRAPH, "--listing-cap": _LISTING_CAP,
+    }),
+    ("acyc", "partition"): (_cmd_acyc_partition, "equivalence classes under a flip move", {
+        "--g": _GRAPH,
+        "--kind": {"choices": PARTITION_KINDS, "default": "toric"},
+        "--a": {"type": int},
+        "--b": {"type": int},
+    }),
+    ("acyc", "phi"): (_cmd_acyc_phi, "source-flip successor map on double-flip classes", {
+        "--g": _GRAPH,
+    }),
+    ("tutte", "eval"): (_cmd_tutte_eval, "evaluate T_G(x, y) exactly", {
+        "--g": _GRAPH,
+        "--x": {"type": int, "required": True},
+        "--y": {"type": int, "required": True},
+    }),
+    ("decide",): (_cmd_decide, "theorem-backed connectivity verdict", {
+        "--x": _GRAPH, "--y": _GRAPH, "--state-cap": _STATE_CAP,
+    }),
+    ("oracle-sweep",): (_cmd_oracle_sweep, "cross-validate fast paths against brute force", {
+        "--max-n": {"type": int, "default": 5, "help": "largest n swept; at most 8, else exit 3"},
+        "--families": {"default": "path,cycle,star"},
+        "--random": {"type": int, "default": 0, "help": "extra random labeled graphs"},
+        "--random-n": {"type": int, "default": 6},
+        "--seed": {"type": int, "default": 0},
+        "--state-cap": _STATE_CAP,
+    }),
+}
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, and it looks up sys.stdout and sys.stderr only when it
+def _parser(words: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The flag parser of one command, built on first use: parsing leaves
+    it unchanged, and it looks up sys.stdout and sys.stderr only when it
     writes."""
-    parser = argparse.ArgumentParser(
-        prog="fsgraph",
-        description="Friends-and-strangers graph explorer and structure-theorem engine",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fs = sub.add_parser("fs", help="direct FS(X, Y) exploration")
-    fs_sub = fs.add_subparsers(dest="fs_command", required=True)
-    p = fs_sub.add_parser("components", help="exhaustive component report")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    _add_state_cap(p)
-    _add_listing_cap(p)
-    p.set_defaults(handler=_cmd_fs_components)
-    p = fs_sub.add_parser("connected", help="single connectivity check")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    _add_state_cap(p)
-    p.set_defaults(handler=_cmd_fs_connected)
-    p = fs_sub.add_parser("neighbors", help="friendly-swap neighbors of one permutation")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--sigma", required=True)
-    p.set_defaults(handler=_cmd_fs_neighbors)
-
-    path = sub.add_parser("path", help="path-position structure theorems")
-    path_sub = path.add_subparsers(dest="path_command", required=True)
-    p = path_sub.add_parser("structure", help="components of FS(Path_n, Y)")
-    p.add_argument("--y", required=True)
-    p.add_argument("--list", action="store_true", help="also list the component classes")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    _add_listing_cap(p)
-    p.set_defaults(handler=_cmd_path_structure)
-
-    cyc = sub.add_parser("cycle", help="cycle-position structure theorems")
-    cyc_sub = cyc.add_subparsers(dest="cycle_command", required=True)
-    p = cyc_sub.add_parser("structure", help="components of FS(Cycle_n, Y)")
-    p.add_argument("--y", required=True)
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    _add_listing_cap(p)
-    p.set_defaults(handler=_cmd_cycle_structure)
-
-    star = sub.add_parser("star", help="star-position classification")
-    star_sub = star.add_subparsers(dest="star_command", required=True)
-    p = star_sub.add_parser("structure", help="components of FS(Star_n, Y), biconnected Y")
-    p.add_argument("--y", required=True)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(handler=_cmd_star_structure)
-
-    acyc = sub.add_parser("acyc", help="acyclic orientations and flip classes")
-    acyc_sub = acyc.add_subparsers(dest="acyc_command", required=True)
-    p = acyc_sub.add_parser("enumerate", help="list all acyclic orientations")
-    p.add_argument("--g", required=True)
-    _add_listing_cap(p)
-    p.set_defaults(handler=_cmd_acyc_enumerate)
-    p = acyc_sub.add_parser("partition", help="equivalence classes under a flip move")
-    p.add_argument("--g", required=True)
-    p.add_argument(
-        "--kind",
-        choices=PARTITION_KINDS,
-        default="toric",
-    )
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.set_defaults(handler=_cmd_acyc_partition)
-    p = acyc_sub.add_parser("phi", help="source-flip successor map on double-flip classes")
-    p.add_argument("--g", required=True)
-    p.set_defaults(handler=_cmd_acyc_phi)
-
-    tutte = sub.add_parser("tutte", help="Tutte polynomial evaluation")
-    tutte_sub = tutte.add_subparsers(dest="tutte_command", required=True)
-    p = tutte_sub.add_parser("eval", help="evaluate T_G(x, y) exactly")
-    p.add_argument("--g", required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.set_defaults(handler=_cmd_tutte_eval)
-
-    p = sub.add_parser("decide", help="theorem-backed connectivity verdict")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    _add_state_cap(p)
-    p.set_defaults(handler=_cmd_decide)
-
-    p = sub.add_parser("oracle-sweep", help="cross-validate fast paths against brute force")
-    p.add_argument("--max-n", type=int, default=5, help="largest n swept; at most 8, else exit 3")
-    p.add_argument("--families", default="path,cycle,star")
-    p.add_argument("--random", type=int, default=0, help="extra random labeled graphs")
-    p.add_argument("--random-n", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    _add_state_cap(p)
-    p.set_defaults(handler=_cmd_oracle_sweep)
-
+    _, help_line, flags = _COMMANDS[words]
+    parser = argparse.ArgumentParser(prog=f"fsgraph {' '.join(words)}", description=help_line)
+    for flag, settings in flags.items():
+        parser.add_argument(flag, **settings)
     return parser
+
+
+def _usage() -> str:
+    width = max(len(" ".join(words)) for words in _COMMANDS)
+    rows = "".join(
+        f"  {' '.join(words):<{width}}  {help_line}\n" for words, (_, help_line, _) in _COMMANDS.items()
+    )
+    return (
+        "usage: fsgraph <command> [options]\n\n"
+        "Friends-and-strangers graph explorer and structure-theorem engine\n\n"
+        f"commands:\n{rows}\nRun 'fsgraph <command> --help' for the flags of one command.\n"
+    )
 
 
 def _config_from_args(args) -> RunConfig:
@@ -473,11 +441,18 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = next((w for w in (tuple(argv[:2]), tuple(argv[:1])) if w in _COMMANDS), None)
+    if words is None:
+        if {"-h", "--help"} & set(argv[:2]):
+            sys.stdout.write(_usage())
+            raise SystemExit(0)
+        sys.stderr.write(_usage())
+        raise SystemExit(2)
+    args = _parser(words).parse_args(argv[len(words):])
     try:
         config = _config_from_args(args)
-        result = args.handler(args, config)
+        result = _COMMANDS[words][0](args, config)
     except (InvalidArgumentError, InvalidMoveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

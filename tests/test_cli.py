@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -8,7 +7,7 @@ import time
 import pytest
 
 from conftest import PAW, PETERSEN
-from fsgraph.cli import _FAMILY_PARAM_COUNT, _build_parser, main, read_graph
+from fsgraph.cli import _COMMANDS, _FAMILY_PARAM_COUNT, _parser, main, read_graph
 from fsgraph.graphio import graph_to_json_dict, to_graph6
 from fsgraph import Graph, Orientation, build_named, disjoint_union
 from fsgraph.graphs import NAMED_FAMILIES
@@ -508,9 +507,9 @@ def test_cached_parser_answers_like_a_fresh_one():
     ]
     fresh = []
     for argv in calls:
-        _build_parser.cache_clear()
+        _parser.cache_clear()
         fresh.append(_run_captured(argv))
-    assert _build_parser() is _build_parser()
+    assert all(_parser(words) is _parser(words) for words in _COMMANDS)
     assert [_run_captured(argv) for argv in calls] == fresh
     assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 0, 3, 0, 2, 2, 0]
 
@@ -545,28 +544,53 @@ CAP_FLAGS = {
 }
 
 
-def _leaf_parsers(parser, prefix=()):
-    """(command words, parser) for every runnable subcommand."""
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        yield " ".join(prefix), parser
-        return
-    for name, child in subs[0].choices.items():
-        yield from _leaf_parsers(child, prefix + (name,))
-
-
 def test_cap_flags_match_the_inventory():
-    leaves = dict(_leaf_parsers(_build_parser()))
-    assert set(leaves) == set(CAP_FLAGS)
-    for command, parser in leaves.items():
-        accepted = {s for a in parser._actions for s in a.option_strings if s.endswith("-cap")}
-        assert accepted == CAP_FLAGS[command], command
-        help_text = parser.format_help()
+    assert {" ".join(words) for words in _COMMANDS} == set(CAP_FLAGS)
+    for words, (_, _, flags) in _COMMANDS.items():
+        command = " ".join(words)
+        assert {flag for flag in flags if flag.endswith("-cap")} == CAP_FLAGS[command], command
+        help_text = _parser(words).format_help()
         for flag in ("--state-cap", "--listing-cap"):
             assert (flag in help_text) == (flag in CAP_FLAGS[command]), (command, flag)
     # A flag a command does not honour is an argparse error (exit 2).
     argv = ["tutte", "eval", "--g", "family:path:3", "--x", "2", "--y", "0", "--state-cap", "5"]
     code, out, err = _run_captured(argv)
     assert code == 2 and out == ""
-    assert err.startswith("usage: fsgraph ")
-    assert err.endswith("fsgraph: error: unrecognized arguments: --state-cap 5\n")
+    assert err == (
+        "usage: fsgraph tutte eval [-h] --g G --x X --y Y\n"
+        "fsgraph tutte eval: error: unrecognized arguments: --state-cap 5\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["acyc"]])
+def test_missing_or_unknown_command_prints_usage_and_exits_2(argv):
+    code, out, err = _run_captured(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fsgraph")
+
+
+def test_group_help_lists_its_commands():
+    code, out, _ = _run_captured(["acyc", "--help"])
+    assert code == 0
+    assert out.startswith("usage: fsgraph") and "partition" in out
+
+
+def test_flag_syntax_that_argparse_accepts():
+    # --flag=value and an unambiguous abbreviation of a long flag.
+    code, out, _ = _run_captured(
+        ["fs", "components", "--x=family:path:3", "--y", "family:path:3", "--listing", "1"]
+    )
+    assert code == 0
+    assert json.loads(out)["representatives_error"] == "2 components exceed the listing cap of 1"
+    code, out, err = _run_captured(["tutte", "eval", "--g", "family:path:3", "--x", "a", "--y", "0"])
+    assert (code, out) == (2, "") and "invalid int value: 'a'" in err
+    code, out, _ = _run_captured(["tutte", "eval", "--x", "a"])
+    assert (code, out) == (2, "")
+
+
+def test_graph_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"n":3}')
+    code, out, err = run_cli(capsys, "decide", "--x", f"@{bad}", "--y", "family:path:3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read graph file")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import re
@@ -11,15 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from fsgraph.cli import _build_parser, main
+from fsgraph.cli import _COMMANDS, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 
+def _section(name: str) -> str:
+    """The text under the `## name` heading."""
+    return README.split(f"\n## {name}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _code_block(section: str, language: str) -> str:
     """The first fenced block of `language` under the `## section` heading."""
-    body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(rf"```{language}\n(.*?)```", body, re.S).group(1)
+    return re.search(rf"```{language}\n(.*?)```", _section(section), re.S).group(1)
 
 
 COMMAND_LINES = [
@@ -32,8 +35,15 @@ def test_library_example_runs():
 
 
 def test_readme_shows_every_command_group():
-    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert {shlex.split(line)[1] for line in COMMAND_LINES} == set(commands.choices)
+    assert {shlex.split(line)[1] for line in COMMAND_LINES} == {words[0] for words in _COMMANDS}
+
+
+@pytest.mark.parametrize("flag", ["--state-cap", "--listing-cap"])
+def test_caps_table_names_the_commands_that_take_each_cap(flag):
+    rows = _section("Caps and configuration").splitlines()
+    row = next(line for line in rows if line.startswith(f"| `{flag}` |"))
+    listed = set(re.findall(r"`([^`]+)`", row.split("|")[3]))
+    assert listed == {" ".join(words) for words, (_, _, flags) in _COMMANDS.items() if flag in flags}
 
 
 @pytest.mark.parametrize("line", COMMAND_LINES)
