@@ -20,7 +20,12 @@ The battery, graphs given one per isomorphism class as inline JSON:
   ``fs connected`` on every ordered pair of classes with n <= 4;
 - ``decide`` on every ordered pair of classes with n <= 5, once with the
   graphs as inline JSON and once as graph6 strings, so that both parsers
-  feed the certificate chain.
+  feed the certificate chain;
+- ``decide`` on every ordered pair of named families (complete, path,
+  cycle, star, edgeless, dynkin_d, lollipop with a triangle, and the
+  complete bipartite graph with parts n // 2 and n - n // 2) at each
+  6 <= n <= 12, with theta0 among them at n = 7, and ``star structure``
+  on those families for n <= 9.
 
 Usage:
     python scripts/cli_digest.py
@@ -36,6 +41,16 @@ import json
 from fsgraph import cli
 from fsgraph.graphio import graph_to_json_dict, to_graph6
 from fsgraph.iso import enumerate_nonisomorphic
+
+
+def families(n: int) -> list[str]:
+    """The named-family specs on n vertices, for 6 <= n <= 12."""
+    names = ("complete", "path", "cycle", "star", "edgeless", "dynkin_d")
+    specs = [f"family:{name}:{n}" for name in names]
+    specs += [f"family:lollipop:{n - 3},3", f"family:complete_bipartite:{n // 2},{n}"]
+    if n == 7:
+        specs.append("family:theta0")
+    return specs
 
 
 def battery():
@@ -76,6 +91,13 @@ def battery():
         for x in graph6:
             for y in graph6:
                 yield ["decide", "--x", x, "--y", y]
+    for n in range(6, 13):
+        for x in families(n):
+            for y in families(n):
+                yield ["decide", "--x", x, "--y", y]
+    for n in range(6, 10):
+        for y in families(n):
+            yield ["star", "structure", "--y", y]
 
 
 def digest() -> tuple[int, str]:

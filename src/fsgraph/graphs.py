@@ -3,7 +3,8 @@
 Adjacency is stored as one bitmask per vertex (0-indexed internally,
 1-indexed at the API), because constant-time neighborhood tests dominate
 every enumeration loop in this package.  Graphs are immutable and
-hashable, so they can be shared freely and used as cache keys.
+hashable, so they can be shared freely and used as cache keys; each
+keeps its structure report once the first request has built it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ NAMED_FAMILIES = (
 class Graph:
     """An immutable simple graph on vertices 1..n (no loops, no multi-edges)."""
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj", "_edges", "_report")
 
     n: int
     _adj: tuple[int, ...]          # _adj[v] has bit u set iff {v+1, u+1} is an edge
     _edges: tuple[tuple[int, int], ...]   # 0-indexed (a, b) with a < b, sorted
+    _report: StructureReport | None       # kept by the first structure_report(g)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if type(n) is not int:
@@ -61,6 +63,7 @@ class Graph:
         self.n = n
         self._adj = tuple(adj)
         self._edges = tuple(sorted(edge_set))
+        self._report = None
 
     @classmethod
     def _from_masks(cls, adj: tuple[int, ...]) -> "Graph":
@@ -77,6 +80,7 @@ class Graph:
                 mask ^= low
                 edges.append((a, a + low.bit_length()))
         g._edges = tuple(edges)
+        g._report = None
         return g
 
     # -- basic queries ----------------------------------------------------
@@ -316,7 +320,8 @@ def _mask_to_vertices(mask: int) -> tuple[int, ...]:
 
 def structure_report(g: Graph) -> StructureReport:
     """All the structural predicates the connectivity theorems condition on,
-    read off the adjacency masks in one pass per fact.
+    read off the adjacency masks in one pass per fact.  The first call
+    builds the report and keeps it on g; every later call returns it.
 
     - Components and the two-colouring come from one breadth-first search
       by mask layers, started at each component's least vertex (so the
@@ -331,6 +336,8 @@ def structure_report(g: Graph) -> StructureReport:
       a child in the breadth-first search tree are searched: a leaf of a
       spanning tree, or a vertex of degree <= 1, is never a cut vertex.
     """
+    if g._report is not None:
+        return g._report
     adj = g._adj
     n = g.n
     comp_masks = []
@@ -393,7 +400,7 @@ def structure_report(g: Graph) -> StructureReport:
 
     degs = g.degrees()
     forest = g.edge_count == n - len(comp_masks)
-    return StructureReport(
+    g._report = StructureReport(
         components=tuple(map(_mask_to_vertices, comp_masks)),
         is_connected=connected,
         is_bipartite=bipartite,
@@ -406,6 +413,7 @@ def structure_report(g: Graph) -> StructureReport:
         tree_sizes=tuple(sorted(sizes)) if forest else None,
         gcd_of_component_sizes=math.gcd(*sizes),
     )
+    return g._report
 
 
 # -- Hamiltonian paths ----------------------------------------------------------

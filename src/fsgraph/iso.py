@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .graphs import Graph, _component_masks, _mask_to_vertices
+from .graphs import Graph, _component_masks, _mask_to_vertices, structure_report
 
 CanonicalForm = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -294,13 +294,9 @@ def is_theta0_graph(g: Graph) -> bool:
     if g.n != 7 or g.edge_count != 8:
         return False
     degs = g.degrees()
-    if sorted(degs) != [2] * 5 + [3] * 2:
+    if sorted(degs) != [2] * 5 + [3] * 2 or not structure_report(g).is_biconnected:
         return False
-    # Biconnected: no vertex deletion disconnects what is left, which with
-    # minimum degree 2 also rules out a disconnected g.
     adj = g._adj
-    if any(len(_component_masks(adj, 0b1111111 & ~(1 << v))) != 1 for v in range(7)):
-        return False
     a, b = (v for v in range(7) if degs[v] == 3)
     return not adj[a] >> b & 1 and (adj[a] & adj[b]).bit_count() == 1
 

@@ -24,13 +24,13 @@ from .config import (
     DEFAULT_HEREDITARY_BASE,
     DEFAULT_HEREDITARY_LABELINGS,
     DEFAULT_HEREDITARY_NODE_BUDGET,
+    DEFAULT_LISTING_CAP,
     RunConfig,
 )
 from .errors import InvalidArgumentError
 from .fscore import FSInstance, is_connected
 from .graphs import (
     Graph,
-    StructureReport,
     _component_masks,
     _drop_vertex,
     _hamiltonian_paths,
@@ -183,7 +183,9 @@ def _forest_and_gcd(g: Graph) -> tuple[bool, int]:
 @dataclass(frozen=True)
 class StarStructure:
     component_count: int
-    sizes: tuple[int, ...] | None   # None when the classification fixes only the count
+    # None when the classification fixes only the count, or when there are
+    # more than DEFAULT_LISTING_CAP components (a cycle partner on n >= 10).
+    sizes: tuple[int, ...] | None
 
 
 def star_fs_structure(y: Graph) -> StarStructure | None:
@@ -193,21 +195,19 @@ def star_fs_structure(y: Graph) -> StarStructure | None:
     Classification: a cycle partner splits into (n-2)! components of size
     n(n-1); the 7-vertex theta exception has exactly 6 components (the
     classification does not fix their sizes); otherwise 2 halves of size
-    n!/2 when Y is bipartite and a single component when it is not.
+    n!/2 when Y is bipartite and a single component when it is not.  The
+    sizes are withheld past DEFAULT_LISTING_CAP components.
     """
-    if y.n < 3:
-        raise InvalidArgumentError(f"the star case needs n >= 3, got {y.n}")
-    return _star_structure(y, structure_report(y))
-
-
-def _star_structure(y: Graph, report: StructureReport) -> StarStructure | None:
-    """star_fs_structure(y), given y's structure report."""
     n = y.n
+    if n < 3:
+        raise InvalidArgumentError(f"the star case needs n >= 3, got {n}")
+    report = structure_report(y)
     if not report.is_biconnected:
         return None
     if is_cycle_graph(y):
         count = math.factorial(n - 2)
-        return StarStructure(count, (n * (n - 1),) * count)
+        sizes = (n * (n - 1),) * count if count <= DEFAULT_LISTING_CAP else None
+        return StarStructure(count, sizes)
     if n == 7 and is_theta0_graph(y):
         return StarStructure(6, None)
     if report.is_bipartite:
@@ -260,12 +260,7 @@ def cut_path_certificate(x: Graph) -> CutPathCertificate:
     cut vertex through every neighbor enumerates all candidates; each
     candidate is then vetted by the separation check above.
     """
-    return _cut_path(x, structure_report(x))
-
-
-def _cut_path(x: Graph, report: StructureReport) -> CutPathCertificate:
-    """cut_path_certificate(x), given x's structure report."""
-    cuts = sorted(report.cut_vertices)
+    cuts = sorted(structure_report(x).cut_vertices)
     if not cuts:
         return CutPathCertificate(0, None)
     cut_set = set(cuts)
@@ -292,13 +287,12 @@ def _cut_path(x: Graph, report: StructureReport) -> CutPathCertificate:
     return CutPathCertificate(best[0], best[1])
 
 
-def bipartite_disconnection(
-    x: Graph, y: Graph, rx: StructureReport, ry: StructureReport
-) -> dict | None:
+def bipartite_disconnection(x: Graph, y: Graph) -> dict | None:
     """Both graphs bipartite on n >= 3 vertices forces a parity invariant
     that splits FS(X, Y)."""
     if x.n < 3:
         return None
+    rx, ry = structure_report(x), structure_report(y)
     if rx.is_bipartite and ry.is_bipartite:
         return {
             "x_bipartition": [list(part) for part in rx.bipartition],
@@ -307,28 +301,26 @@ def bipartite_disconnection(
     return None
 
 
-def cut_path_disconnection(
-    x: Graph, y: Graph, rx: StructureReport, ry: StructureReport
-) -> dict | None:
+def cut_path_disconnection(x: Graph, y: Graph) -> dict | None:
     """A cut path of length d in X plus a vertex of degree <= d in Y pins
     that vertex's label, splitting FS(X, Y)."""
-    cert = _cut_path(x, rx)
+    cert = cut_path_certificate(x)
     if cert.d < 1:
         return None
-    if ry.min_degree > cert.d:
+    min_degree = structure_report(y).min_degree
+    if min_degree > cert.d:
         return None
-    y0 = next(v for v in range(1, y.n + 1) if y.degree(v) == ry.min_degree)
+    y0 = next(v for v in range(1, y.n + 1) if y.degree(v) == min_degree)
     return {"d": cert.d, "path": list(cert.path), "low_degree_vertex": y0}
 
 
-def cut_vertex_disconnection(
-    x: Graph, y: Graph, rx: StructureReport, ry: StructureReport
-) -> dict | None:
+def cut_vertex_disconnection(x: Graph, y: Graph) -> dict | None:
     """Cut vertices on both sides force at least the margin-matrix count of
     components (always >= 2): matrices whose row sums are the component
     sizes of X - x0 and whose column sums are those of Y - y0."""
     if x.n < 3:
         return None
+    rx, ry = structure_report(x), structure_report(y)
     if not (rx.is_connected and ry.is_connected and rx.cut_vertices and ry.cut_vertices):
         return None
     x0 = min(rx.cut_vertices)
@@ -383,26 +375,14 @@ class ConnectivityVerdict:
     witness: dict | None = None
 
 
-def _report(reports: dict[Graph, StructureReport], g: Graph) -> StructureReport:
-    """g's structure report, built on the first request and kept in
-    ``reports``."""
-    report = reports.get(g)
-    if report is None:
-        report = reports[g] = structure_report(g)
-    return report
-
-
-def _family_verdict(
-    a: Graph, b: Graph, side: str, reports: dict[Graph, StructureReport]
-) -> ConnectivityVerdict | None:
-    """Exact characterizations when the position graph `a` is a named family;
-    ``reports`` holds the structure reports built so far.  Every family
-    recognised here has n - 1 or n edges."""
+def _family_verdict(a: Graph, b: Graph, side: str) -> ConnectivityVerdict | None:
+    """Exact characterizations when the position graph `a` is a named family.
+    Every family recognised here has n - 1 or n edges."""
     n = a.n
     if not n - 1 <= a.edge_count <= n:
         return None
     if is_path_graph(a):
-        missing = b.complement().edge_count
+        missing = n * (n - 1) // 2 - b.edge_count
         return ConnectivityVerdict(
             "connected" if missing == 0 else "disconnected",
             "path-needs-complete",
@@ -416,7 +396,7 @@ def _family_verdict(
             {"side": side, "complement_is_forest": forest, "component_size_gcd": gcd},
         )
     if n >= 3 and is_star_graph(a):
-        structure = _star_structure(b, _report(reports, b))
+        structure = star_fs_structure(b)
         if structure is not None:
             return ConnectivityVerdict(
                 "connected" if structure.component_count == 1 else "disconnected",
@@ -455,11 +435,10 @@ def decide_connectivity(
     n - DEFAULT_HEREDITARY_BASE + 1, without which the recursion cannot
     succeed (see :func:`_hereditary_can_prove`).
 
-    Each graph's structure report (components, two-colouring, cut
-    vertices and degrees, each found in one pass over its adjacency
-    masks) is built at most once, kept in a plain dict, and every later
-    rung reads its facts from there: the star rule, the disconnection
-    certificates and the minimum-degree gate of the hereditary rung.
+    The star rule, the disconnection certificates and the minimum-degree
+    gate of the hereditary rung read each graph's structure report
+    (components, two-colouring, cut vertices and degrees), which the
+    first of them builds and the graph keeps.
     """
     if x.n != y.n:
         raise InvalidArgumentError("X and Y must have the same number of vertices")
@@ -472,32 +451,31 @@ def decide_connectivity(
             "connected" if ok else "disconnected", "tiny", {"n": 2}
         )
 
-    reports: dict[Graph, StructureReport] = {}
     for a, b, side in ((x, y, "x"), (y, x, "y")):
-        verdict = _family_verdict(a, b, side, reports)
+        verdict = _family_verdict(a, b, side)
         if verdict is not None:
             return verdict
 
-    rx = _report(reports, x)
-    ry = _report(reports, y)
+    rx = structure_report(x)
+    ry = structure_report(y)
     if not rx.is_connected or not ry.is_connected:
         return ConnectivityVerdict(
             "disconnected",
             "disconnected-factor",
             {"x_connected": rx.is_connected, "y_connected": ry.is_connected},
         )
-    witness = bipartite_disconnection(x, y, rx, ry)
+    witness = bipartite_disconnection(x, y)
     if witness is not None:
         return ConnectivityVerdict("disconnected", "bipartite-parity", witness)
-    witness = cut_path_disconnection(x, y, rx, ry)
+    witness = cut_path_disconnection(x, y)
     if witness is not None:
         witness = dict(witness, side="x")
         return ConnectivityVerdict("disconnected", "cut-path-degree", witness)
-    witness = cut_path_disconnection(y, x, ry, rx)
+    witness = cut_path_disconnection(y, x)
     if witness is not None:
         witness = dict(witness, side="y")
         return ConnectivityVerdict("disconnected", "cut-path-degree", witness)
-    witness = cut_vertex_disconnection(x, y, rx, ry)
+    witness = cut_vertex_disconnection(x, y)
     if witness is not None:
         return ConnectivityVerdict("disconnected", "cut-vertex-margins", witness)
 

@@ -207,16 +207,16 @@ def test_acceptance_disconnection_certificates():
 
                 rx = structure_report(x)
                 ry = structure_report(y)
-                if bipartite_disconnection(x, y, rx, ry) is not None:
+                if bipartite_disconnection(x, y) is not None:
                     fired["bipartite"] += 1
                     assert brute_count() >= 2, (x.edges, y.edges)
                 if (
-                    cut_path_disconnection(x, y, rx, ry) is not None
-                    or cut_path_disconnection(y, x, ry, rx) is not None
+                    cut_path_disconnection(x, y) is not None
+                    or cut_path_disconnection(y, x) is not None
                 ):
                     fired["cut_path"] += 1
                     assert brute_count() >= 2, (x.edges, y.edges)
-                witness = cut_vertex_disconnection(x, y, rx, ry)
+                witness = cut_vertex_disconnection(x, y)
                 if witness is not None:
                     fired["cut_vertex"] += 1
                     assert brute_count() >= 2, (x.edges, y.edges)

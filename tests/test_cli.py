@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -47,6 +49,13 @@ def test_decide_command(capsys):
     payload = json.loads(out)
     assert payload["status"] == "connected"
     assert payload["theorem"] == "lollipop-min-degree"
+    code, out, _ = run_cli(capsys, "decide", "--x", "family:star:30", "--y", "family:cycle:30")
+    assert code == 0
+    assert json.loads(out) == {
+        "status": "disconnected",
+        "theorem": "star-biconnected",
+        "witness": {"side": "x", "component_count": math.factorial(28)},
+    }
 
 
 def test_cycle_structure_command(capsys):
@@ -136,6 +145,12 @@ def test_star_structure_command(capsys):
     code, out, _ = run_cli(capsys, "star", "structure", "--y", "family:theta0")
     assert code == 0
     assert json.loads(out) == {"applicable": True, "component_count": 6, "sizes": None}
+    # 28! components of a cycle partner: the count alone.
+    code, out, _ = run_cli(capsys, "star", "structure", "--y", "family:cycle:30")
+    assert code == 0
+    assert json.loads(out) == {
+        "applicable": True, "component_count": math.factorial(28), "sizes": None
+    }
     code, out, _ = run_cli(capsys, "star", "structure", "--y", "family:path:5")
     assert code == 0
     assert json.loads(out) == {"applicable": False}
@@ -400,6 +415,23 @@ def test_decide_answers_sparse_large_pairs_in_bounded_time(capsys):
             assert time.perf_counter() - start < 5, (n, x, y)
             assert code == 0
             assert json.loads(out)["status"] == "unknown", (n, x, y)
+
+
+def test_decide_answers_a_long_path_against_a_long_cycle_in_bounded_time(capsys):
+    # The path rule counts the complement's edges without building the
+    # complement, whose 4.5 million edges took about 500 MB.
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "decide", "--x", "family:path:3000", "--y", "family:cycle:3000")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5
+    assert peak < 20 * 2**20
+    assert code == 0
+    assert json.loads(out)["witness"] == {"side": "x", "complement_edges": 4_495_500}
 
 
 def test_tutte_and_structure_commands_answer_or_refuse_in_bounded_time(capsys):

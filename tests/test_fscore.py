@@ -475,9 +475,8 @@ def test_margin_matrix_requires_cut_vertices():
     # The cut-vertex-margins certificate declines unless both sides have one.
     p4, c4 = build_named("path", 4), build_named("cycle", 4)
     for x, y in ((c4, p4), (p4, c4)):
-        rx, ry = structure_report(x), structure_report(y)
-        assert cut_vertex_disconnection(x, y, rx, ry) is None
-    witness = cut_vertex_disconnection(p4, p4, structure_report(p4), structure_report(p4))
+        assert cut_vertex_disconnection(x, y) is None
+    witness = cut_vertex_disconnection(p4, p4)
     assert witness == {"x_cut_vertex": 2, "y_cut_vertex": 2, "component_lower_bound": 2}
 
 

@@ -228,7 +228,9 @@ def test_builders_keep_checking_caller_input():
 
 
 def test_cycle5_report():
-    r = structure_report(build_named("cycle", 5))
+    g = build_named("cycle", 5)
+    r = structure_report(g)
+    assert structure_report(g) is r
     assert r.is_biconnected
     assert not r.is_bipartite
     assert r.min_degree == r.max_degree == 2
@@ -238,6 +240,7 @@ def test_cycle5_report():
 def test_disjoint_union_report():
     g = disjoint_union(build_named("complete", 2), build_named("complete", 3))
     r = structure_report(g)
+    assert structure_report(g) is r
     assert r.components == ((1, 2), (3, 4, 5))
     assert r.gcd_of_component_sizes == 1
     assert not r.is_connected

@@ -39,7 +39,7 @@ from fsgraph.graphs import (
 )
 from fsgraph.iso import enumerate_nonisomorphic, refined_form
 from fsgraph.orientations import enumerate_acyclic, linear_extensions, partition_by_moves
-from fsgraph import theorems
+from fsgraph import graphs, theorems
 from fsgraph.theorems import HereditaryResult, _path_minor
 
 # A 5-vertex graph with a Hamiltonian path for which FS(X, Y) is connected
@@ -185,6 +185,11 @@ def test_star_structure_cycle_partner():
     result = star_fs_structure(build_named("cycle", 6))
     assert result.component_count == 24
     assert result.sizes == (30,) * 24
+    # (n - 2)! components: 7! = 5040 sizes are listed, 8! = 40320 are not.
+    assert star_fs_structure(build_named("cycle", 9)).sizes == (72,) * math.factorial(7)
+    result = star_fs_structure(build_named("cycle", 10))
+    assert result.component_count == math.factorial(8)
+    assert result.sizes is None
 
 
 def test_star_structure_theta_partner():
@@ -340,12 +345,13 @@ def test_star_plus_edge_connects_bipartite_partners():
 
 def test_decide_builds_each_structure_report_once(monkeypatch):
     built = []
+    build = graphs.StructureReport
 
-    def counting(g):
-        built.append(g)
-        return structure_report(g)
+    def counting(**fields):
+        built.append(build(**fields))
+        return built[-1]
 
-    monkeypatch.setattr(theorems, "structure_report", counting)
+    monkeypatch.setattr(graphs, "StructureReport", counting)
     margins = (
         Graph(7, [(1, 2), (1, 4), (1, 6), (2, 3), (2, 5), (2, 7), (3, 6), (4, 6), (5, 7)]),
         Graph(7, [(1, 2), (1, 5), (2, 5), (2, 7), (3, 4), (3, 5), (3, 6), (4, 5), (5, 6), (5, 7)]),
@@ -368,7 +374,15 @@ def test_decide_builds_each_structure_report_once(monkeypatch):
         verdict = decide_connectivity(x, y)
         assert verdict.theorem == outcome
         assert verdict.status == ("disconnected" if outcome else "unknown")
-        assert built == [{"x": x, "y": y}[side] for side in order]
+        kept = [{"x": x, "y": y}[side]._report for side in order]
+        assert list(map(id, built)) == list(map(id, kept))
+        # Every later reader finds the reports kept on the graphs.
+        built.clear()
+        assert decide_connectivity(x, y) == verdict
+        for g in (x, y):
+            star_fs_structure(g)
+            cut_path_certificate(g)
+        assert built == []
 
 
 def test_decide_size_mismatch():
