@@ -106,13 +106,18 @@ def _family_graph(spec: str) -> Graph:
     return build_named(name, params[0])
 
 
-def _emit(payload) -> None:
+def _render(payload) -> str:
+    """The output text; a count too long for Python's int-to-str limit
+    refuses instead of ending in a traceback."""
     if isinstance(payload, str):
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        sys.stdout.write(json.dumps(payload) + "\n")
+        return payload if payload.endswith("\n") else payload + "\n"
+    try:
+        return json.dumps(payload) + "\n"
+    except ValueError as exc:
+        raise ResourceLimitError(
+            f"a count has more than {sys.get_int_max_str_digits()} digits, "
+            "past the integer-to-text limit"
+        ) from exc
 
 
 # -- JSON payloads ---------------------------------------------------------------
@@ -453,17 +458,15 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         result = _COMMANDS[words][0](args, config)
+        payload, code = result if isinstance(result, tuple) else (result, 0)
+        text = _render(payload)
     except (InvalidArgumentError, InvalidMoveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    if isinstance(result, tuple):
-        payload, code = result
-    else:
-        payload, code = result, 0
-    _emit(payload)
+    sys.stdout.write(text)
     return code
 
 

@@ -66,7 +66,7 @@ def _check_statespace(n: int, config: RunConfig) -> int:
     total = math.factorial(n)
     if total > config.state_cap:
         raise ResourceLimitError(
-            f"{n}! = {total} states exceeds the configured cap of {config.state_cap}"
+            f"the state count {n}! exceeds the configured cap of {config.state_cap}"
         )
     return total
 

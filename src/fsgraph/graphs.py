@@ -10,8 +10,8 @@ keeps its structure report once the first request has built it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from .errors import InvalidArgumentError
 
@@ -274,8 +274,7 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
 # -- structural report -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     components: tuple[tuple[int, ...], ...]   # sorted vertices, by least vertex
     is_connected: bool
     is_bipartite: bool
@@ -285,7 +284,6 @@ class StructureReport:
     min_degree: int
     max_degree: int
     is_forest: bool
-    tree_sizes: tuple[int, ...] | None
     gcd_of_component_sizes: int
 
 
@@ -320,55 +318,73 @@ def _mask_to_vertices(mask: int) -> tuple[int, ...]:
 
 def structure_report(g: Graph) -> StructureReport:
     """All the structural predicates the connectivity theorems condition on,
-    read off the adjacency masks in one pass per fact.  The first call
-    builds the report and keeps it on g; every later call returns it.
+    from one iterative depth-first search per component (Hopcroft and
+    Tarjan, "Efficient algorithms for graph manipulation", CACM 1973).  The
+    first call builds the report and keeps it on g; every later call
+    returns it.
 
-    - Components and the two-colouring come from one breadth-first search
-      by mask layers, started at each component's least vertex (so the
-      components come in order of least vertex).  The graph is bipartite
-      exactly when no layer holds an edge; side A holds the even layers.
-      A bipartition needs both parts nonempty, so a single vertex is not
-      bipartite and an edgeless graph on n >= 2 vertices gets its largest
-      vertex moved to side B.
-    - A vertex of degree >= 2 is a cut vertex when one of its neighbours
-      does not reach all the others inside the graph minus the vertex;
-      the search stops once it has reached them all.  Only vertices with
-      a child in the breadth-first search tree are searched: a leaf of a
-      spanning tree, or a vertex of degree <= 1, is never a cut vertex.
+    - Each search starts at the least vertex not yet seen, so the
+      components come in order of least vertex.
+    - The two-colouring is by depth parity: the graph is bipartite exactly
+      when no edge joins two vertices of equal parity, and side A holds the
+      even depths.  A bipartition needs both parts nonempty, so a single
+      vertex is not bipartite and an edgeless graph on n >= 2 vertices
+      gets its largest vertex moved to side B.
+    - Cut vertices come from lowpoints, each kept as the mask of vertices
+      that a finished subtree's edges reach.  A vertex other than the root
+      is a cut vertex when the subtree of one of its children reaches none
+      of its proper ancestors; the root is one when it has a second child.
     """
     if g._report is not None:
         return g._report
     adj = g._adj
     n = g.n
+    full = (1 << n) - 1
     comp_masks = []
     sides = [0, 0]   # vertices at even and at odd depth
-    inner = 0        # ends of the edges inside a layer
-    parents = 0      # vertices with a child in the search tree
-    remaining = (1 << n) - 1
-    while remaining:
-        layer = comp = remaining & -remaining
-        depth = 0
-        while layer:
-            sides[depth] |= layer
-            reached = 0
-            rest = layer
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                nbrs = adj[bit.bit_length() - 1]
-                inner |= nbrs & layer
-                if nbrs & ~(comp | reached):
-                    parents |= bit
-                reached |= nbrs
-            layer = reached & ~comp
-            comp |= layer
-            depth ^= 1
-        comp_masks.append(comp)
-        remaining &= ~comp
-    sizes = [m.bit_count() for m in comp_masks]
+    clash = 0        # nonzero once an edge joins two equal depths
+    cut = 0
+    path = []        # the search path from the root: vertex indices
+    reach = []       # per path vertex: what its finished subtrees reach
+    seen = 0
+    while seen != full:
+        root = ~seen & seen + 1
+        start = seen
+        seen |= root
+        sides[0] |= root
+        r = root.bit_length() - 1
+        if adj[r]:
+            path.append(r)
+            reach.append(0)
+            on_path = root
+            while path:
+                v = path[-1]
+                fresh = adj[v] & ~seen
+                if fresh:
+                    bit = fresh & -fresh
+                    u = bit.bit_length() - 1
+                    side = len(path) & 1
+                    clash |= adj[u] & sides[side]
+                    sides[side] |= bit
+                    seen |= bit
+                    on_path |= bit
+                    path.append(u)
+                    reach.append(adj[u])
+                    continue
+                path.pop()
+                low = reach.pop()
+                on_path ^= 1 << v
+                if len(path) > 1:
+                    p = 1 << path[-1]
+                    if not low & (on_path ^ p):
+                        cut |= p
+                    reach[-1] |= low
+                elif path and adj[r] & ~seen:
+                    cut |= root
+        comp_masks.append(seen ^ start)
     connected = len(comp_masks) == 1
 
-    bipartite = n >= 2 and not inner
+    bipartite = n >= 2 and not clash
     bipartition = None
     if bipartite:
         side_a = _mask_to_vertices(sides[0])
@@ -377,41 +393,18 @@ def structure_report(g: Graph) -> StructureReport:
             side_a, side_b = side_a[:-1], side_a[-1:]
         bipartition = (side_a, side_b)
 
-    cut = []
-    while parents:
-        bit = parents & -parents
-        parents ^= bit
-        v = bit.bit_length() - 1
-        nbrs = adj[v]
-        if nbrs & (nbrs - 1) == 0:   # degree <= 1
-            continue
-        low = nbrs & -nbrs
-        reach = low | bit
-        frontier = low
-        while frontier and nbrs & ~reach:
-            u_bit = frontier & -frontier
-            frontier ^= u_bit
-            new = adj[u_bit.bit_length() - 1] & ~reach
-            reach |= new
-            frontier |= new
-        if nbrs & ~reach:
-            cut.append(v + 1)
-    cut_vertices = frozenset(cut)
-
     degs = g.degrees()
-    forest = g.edge_count == n - len(comp_masks)
     g._report = StructureReport(
-        components=tuple(map(_mask_to_vertices, comp_masks)),
-        is_connected=connected,
-        is_bipartite=bipartite,
-        bipartition=bipartition,
-        cut_vertices=cut_vertices,
-        is_biconnected=n >= 2 and connected and not cut_vertices,
-        min_degree=min(degs),
-        max_degree=max(degs),
-        is_forest=forest,
-        tree_sizes=tuple(sorted(sizes)) if forest else None,
-        gcd_of_component_sizes=math.gcd(*sizes),
+        tuple(map(_mask_to_vertices, comp_masks)),
+        connected,
+        bipartite,
+        bipartition,
+        frozenset(_mask_to_vertices(cut)),
+        n >= 2 and connected and not cut,
+        min(degs),
+        max(degs),
+        g.edge_count == n - len(comp_masks),
+        math.gcd(*map(int.bit_count, comp_masks)),
     )
     return g._report
 

@@ -12,7 +12,8 @@ enumeration up to n = 8 and ``is_isomorphic`` use it.
 ``_automorphism_generators`` reuses the refinement to prune a search for
 generators of Aut(g), which the component sweep of :mod:`fsgraph.fscore`
 uses to search one component per symmetry orbit.  The family
-recognizers read structure directly in O(n + m).
+recognizers test edge counts and degrees first and only then read
+connectivity from the graph's kept structure report.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _initial_colors(g: Graph) -> list:
     n = g.n
     adj = g._adj
     comp_size = [0] * n
-    for comp in _cheap_components(g):
+    for comp in _component_masks(adj, (1 << n) - 1):
         for v in _mask_to_vertices(comp):
             comp_size[v - 1] = comp.bit_count()
     tri = [0] * n
@@ -238,7 +239,7 @@ def is_path_graph(g: Graph) -> bool:
     degs = sorted(g.degrees())
     if degs[:2] != [1, 1] or any(d != 2 for d in degs[2:]):
         return False
-    return len(_cheap_components(g)) == 1
+    return structure_report(g).is_connected
 
 
 def is_cycle_graph(g: Graph) -> bool:
@@ -246,7 +247,7 @@ def is_cycle_graph(g: Graph) -> bool:
         g.n >= 3
         and g.edge_count == g.n
         and all(d == 2 for d in g.degrees())
-        and len(_cheap_components(g)) == 1
+        and structure_report(g).is_connected
     )
 
 
@@ -263,7 +264,7 @@ def is_lollipop_graph(g: Graph) -> bool:
     if n < 4 or g.edge_count != n:
         return False
     degs = g.degrees()
-    if sorted(degs) != [1] + [2] * (n - 2) + [3] or len(_cheap_components(g)) != 1:
+    if sorted(degs) != [1] + [2] * (n - 2) + [3] or not structure_report(g).is_connected:
         return False
     nbrs = g._adj[degs.index(3)]
     return any(g._adj[v] & nbrs for v in range(n) if nbrs >> v & 1)
@@ -279,7 +280,7 @@ def is_dynkin_graph(g: Graph) -> bool:
     if n < 4 or g.edge_count != n - 1:
         return False
     degs = g.degrees()
-    if sorted(degs) != [1, 1, 1] + [2] * (n - 4) + [3] or len(_cheap_components(g)) != 1:
+    if sorted(degs) != [1, 1, 1] + [2] * (n - 4) + [3] or not structure_report(g).is_connected:
         return False
     nbrs = g._adj[degs.index(3)]
     return sum(1 for v in range(n) if nbrs >> v & 1 and degs[v] == 1) >= 2
@@ -299,10 +300,6 @@ def is_theta0_graph(g: Graph) -> bool:
     adj = g._adj
     a, b = (v for v in range(7) if degs[v] == 3)
     return not adj[a] >> b & 1 and (adj[a] & adj[b]).bit_count() == 1
-
-
-def _cheap_components(g: Graph) -> list[int]:
-    return _component_masks(g._adj, (1 << g.n) - 1)
 
 
 # -- exhaustive enumeration up to isomorphism ---------------------------------

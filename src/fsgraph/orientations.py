@@ -19,7 +19,7 @@ import sys
 
 from .config import DEFAULT_CLOSURE_CAP, DEFAULT_EXTENSION_VERTEX_CAP
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
-from .graphs import Graph, _component_masks, _mask_to_vertices
+from .graphs import Graph, _component_masks, _mask_to_vertices, structure_report
 from .perms import Permutation
 from .tutte import tutte_eval
 
@@ -288,9 +288,8 @@ def _check_forest_rank(graph: Graph) -> None:
     components already exceeds DEFAULT_CLOSURE_CAP: a spanning forest has
     n - c edges, and each of its 2^(n - c) orientations extends to an
     acyclic one (orient the other edges along a topological order of the
-    forest's).  The bound is exact on forests.  The check costs one
-    component search, where the Tutte evaluation may fill its memo first."""
-    rank = graph.n - len(_component_masks(graph._adj, (1 << graph.n) - 1))
+    forest's).  The bound is exact on forests."""
+    rank = graph.n - len(structure_report(graph).components)
     if 1 << rank > DEFAULT_CLOSURE_CAP:
         least = "" if rank == graph.edge_count else "at least "
         raise ResourceLimitError(

@@ -139,7 +139,7 @@ def cycle_fs_structure(
     if y.n < 3:
         raise InvalidArgumentError(f"the cycle case needs n >= 3, got {y.n}")
     comp = y.complement()
-    _, nu = _forest_and_gcd(comp)
+    nu = structure_report(comp).gcd_of_component_sizes
     toric_count = tutte_eval(comp, 1, 0)
     count = toric_count * nu
     if not include_classes:
@@ -168,13 +168,6 @@ def cycle_fs_structure(
             for cls in members
         )
     return CycleStructure(count, nu, toric_count, classes)
-
-
-def _forest_and_gcd(g: Graph) -> tuple[bool, int]:
-    """Whether g is a forest, and the gcd of its component sizes, from one
-    component search: a forest has n - c edges for c components."""
-    comps = _component_masks(g._adj, (1 << g.n) - 1)
-    return g.edge_count == g.n - len(comps), math.gcd(*(m.bit_count() for m in comps))
 
 
 # -- star case -----------------------------------------------------------------
@@ -389,7 +382,8 @@ def _family_verdict(a: Graph, b: Graph, side: str) -> ConnectivityVerdict | None
             {"side": side, "complement_edges": missing},
         )
     if n >= 3 and is_cycle_graph(a):
-        forest, gcd = _forest_and_gcd(b.complement())
+        report = structure_report(b.complement())
+        forest, gcd = report.is_forest, report.gcd_of_component_sizes
         return ConnectivityVerdict(
             "connected" if forest and gcd == 1 else "disconnected",
             "cycle-complement-forest",

@@ -434,6 +434,32 @@ def test_decide_answers_a_long_path_against_a_long_cycle_in_bounded_time(capsys)
     assert json.loads(out)["witness"] == {"side": "x", "complement_edges": 4_495_500}
 
 
+def test_star_partner_cycle_answers_in_bounded_time(capsys):
+    # The star rule reads the cycle's structure report; one search per
+    # cut-vertex candidate took 1.7 s per command at n = 1500.
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "star", "structure", "--y", "family:cycle:1500")
+    assert code == 0 and json.loads(out)["component_count"] == math.factorial(1498)
+    code, out, _ = run_cli(capsys, "decide", "--x", "family:star:1500", "--y", "family:cycle:1500")
+    assert code == 0 and json.loads(out)["status"] == "disconnected"
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("star", "structure", "--y", "family:cycle:1700"),
+        ("decide", "--x", "family:star:2000", "--y", "family:cycle:2000"),
+        ("fs", "components", "--x", "family:path:1800", "--y", "family:complete:1800"),
+    ],
+)
+def test_counts_past_the_int_to_str_limit_exit_3(capsys, argv):
+    # 1698!, 1998! and 1800! each have more than 4300 decimal digits.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
 def test_tutte_and_structure_commands_answer_or_refuse_in_bounded_time(capsys):
     # Seeded G(n, 1/2) and G(n, 0.15) at n = 16, 30, 40: every Tutte
     # evaluation, and every acyclic listing or flip closure that counts

@@ -461,6 +461,14 @@ def test_large_instance_is_refused_before_any_search():
     assert time.perf_counter() - start < 0.1
 
 
+def test_state_count_refusal_does_not_print_the_count():
+    # 1800! has more digits than Python turns into text.
+    inst = FSInstance(build_named("path", 1800), build_named("cycle", 1800))
+    for search in (components, is_connected):
+        with pytest.raises(ResourceLimitError, match="the state count 1800! exceeds"):
+            search(inst)
+
+
 # -- margin matrices --------------------------------------------------------------------
 
 

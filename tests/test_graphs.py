@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -251,7 +253,7 @@ def test_star6_report():
     assert r.cut_vertices == frozenset({6})
     assert r.is_bipartite
     assert set(map(frozenset, r.bipartition)) == {frozenset({1, 2, 3, 4, 5}), frozenset({6})}
-    assert r.is_forest and r.tree_sizes == (6,)
+    assert r.is_forest and r.gcd_of_component_sizes == 6
 
 
 def test_single_vertex_not_bipartite():
@@ -297,49 +299,58 @@ def test_biconnected_means_every_deletion_stays_connected():
         assert r.is_biconnected == (r.is_connected and n >= 2 and deletions_ok)
 
 
-def _reference_components(n, edges, removed=None):
-    """Components of the graph minus `removed`, as sorted vertex tuples in
-    order of least vertex, from a plain union-find over the edge list."""
+def _roots(n, edges, removed=None):
+    """Union-find over the edge list of the graph minus `removed`: the
+    parent table, and whether some edge joined two vertices already joined."""
     parent = {v: v for v in range(1, n + 1) if v != removed}
+    cyclic = False
 
     def root(v):
         while parent[v] != v:
-            v = parent[v]
+            parent[v] = v = parent[parent[v]]
         return v
 
     for a, b in edges:
         if removed not in (a, b):
-            parent[root(a)] = root(b)
+            ra, rb = root(a), root(b)
+            cyclic |= ra == rb
+            parent[ra] = rb
+    return {v: root(v) for v in parent}, cyclic
+
+
+def _reference_components(n, edges, removed=None):
+    """Components of the graph minus `removed`, as sorted vertex tuples in
+    order of least vertex."""
     groups = {}
-    for v in parent:
-        groups.setdefault(root(v), []).append(v)
+    for v, r in _roots(n, edges, removed)[0].items():
+        groups.setdefault(r, []).append(v)
     return sorted(tuple(sorted(c)) for c in groups.values())
 
 
 def _reference_report(g):
     """The structure-report fields straight from their definitions: a cut
-    vertex is one whose deletion raises the component count; the
-    bipartition is the proper 2-colouring, found by trying every colouring,
-    with the least vertex of each component on side A (an edgeless graph
-    on n >= 2 vertices moves its largest vertex to side B)."""
+    vertex is one whose deletion raises the component count; a forest has
+    no edge joining two vertices already joined; the only candidate
+    2-colouring with the least vertex of each component on side A gives
+    each vertex the parity of its distance from that least vertex, and the
+    graph is bipartite when that colouring is proper (an edgeless graph on
+    n >= 2 vertices moves its largest vertex to side B)."""
     n, edges = g.n, g.edges
     components = _reference_components(n, edges)
     cut = frozenset(
         v for v in range(1, n + 1) if len(_reference_components(n, edges, v)) > len(components)
     )
-    leaders = {c[0] for c in components}
-    others = [v for v in range(1, n + 1) if v not in leaders]
-    colourings = []
-    for sides in itertools.product((0, 1), repeat=len(others)):
-        colour = dict(zip(others, sides))
-        colour.update((v, 0) for v in leaders)
-        if all(colour[a] != colour[b] for a, b in edges):
-            colourings.append(colour)
-    assert len(colourings) <= 1
+    colour = {c[0]: 0 for c in components}
+    queue = list(colour)
+    for v in queue:
+        for u in g.neighbors(v):
+            if u not in colour:
+                colour[u] = 1 - colour[v]
+                queue.append(u)
     bipartition = None
-    if n >= 2 and colourings:
-        side_a = tuple(v for v in range(1, n + 1) if colourings[0][v] == 0)
-        side_b = tuple(v for v in range(1, n + 1) if colourings[0][v] == 1)
+    if n >= 2 and all(colour[a] != colour[b] for a, b in edges):
+        side_a = tuple(v for v in range(1, n + 1) if colour[v] == 0)
+        side_b = tuple(v for v in range(1, n + 1) if colour[v] == 1)
         if not side_b:
             side_a, side_b = side_a[:-1], side_a[-1:]
         bipartition = (side_a, side_b)
@@ -356,6 +367,8 @@ def _reference_report(g):
         and all(len(_reference_components(n, edges, v)) == 1 for v in range(1, n + 1)),
         "min_degree": min(degrees),
         "max_degree": max(degrees),
+        "is_forest": not _roots(n, edges)[1],
+        "gcd_of_component_sizes": math.gcd(*map(len, components)),
     }
 
 
@@ -372,6 +385,22 @@ def test_structure_report_matches_definitions_on_every_small_graph():
             assert _report_fields(g) == _reference_report(g), g
 
 
+def _deep_sparse_graph(rng, n, extra):
+    """A random tree on n shuffled vertices, each hung from one of the
+    three placed before it (so the tree runs deep), plus `extra` random
+    edges and a pendant path of up to 20 new vertices."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    edges = {
+        tuple(sorted((order[i], order[rng.randrange(max(0, i - 3), i)]))) for i in range(1, n)
+    }
+    while len(edges) < n - 1 + min(extra, n * (n - 1) // 2 - n + 1):
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+    tail = rng.randint(0, 20)
+    edges |= {(v, v + 1) for v in range(n, n + tail)}
+    return Graph(n + tail, edges)
+
+
 def test_structure_report_matches_definitions_on_random_graphs():
     rng = random.Random(17)
     for n in range(1, 13):
@@ -379,6 +408,32 @@ def test_structure_report_matches_definitions_on_random_graphs():
             for _ in range(6):
                 g = random_graph(rng, n, p)
                 assert _report_fields(g) == _reference_report(g), g
+    # Random trees, unicyclic and bicyclic graphs (extra = 0, 1, 2) with a
+    # pendant path, up to 320 vertices: the search path runs hundreds deep.
+    for n in (2, 3, 5, 40, 120, 300):
+        for extra in (0, 1, 2):
+            for _ in range(3):
+                g = _deep_sparse_graph(rng, n, extra)
+                assert _report_fields(g) == _reference_report(g), g
+
+
+@pytest.mark.parametrize(
+    "family, params, cuts",
+    [
+        ("path", {"n": 3000}, 2998),
+        ("cycle", {"n": 3000}, 0),
+        ("edgeless", {"n": 3000}, 0),
+        ("lollipop", {"k": 2997, "m": 3}, 2997),
+    ],
+)
+def test_structure_report_is_fast_on_long_sparse_graphs(family, params, cuts):
+    # One search per cut-vertex candidate took 5-9 s on a path or cycle of 3000.
+    g = build_named(family, **params)
+    start = time.perf_counter()
+    r = structure_report(g)
+    assert time.perf_counter() - start < 0.5
+    assert len(r.components) == (3000 if family == "edgeless" else 1)
+    assert len(r.cut_vertices) == cuts
 
 
 # -- Hamiltonian paths --------------------------------------------------------------

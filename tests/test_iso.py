@@ -84,6 +84,12 @@ def test_family_recognizers():
     ]
     cases += [(tadpole(3, tail), is_lollipop_graph) for tail in range(1, 8)]
     cases += [(spider(1, 1, k), is_dynkin_graph) for k in range(1, 10)]
+    cases += [
+        (build_named("path", 2000), is_path_graph),
+        (build_named("cycle", 2000), is_cycle_graph),
+        (build_named("lollipop", k=1997, m=3), is_lollipop_graph),
+        (build_named("dynkin_d", 2000), is_dynkin_graph),
+    ]
     for g, predicate in cases:
         assert predicate(g), g
         assert predicate(shuffled_copy(g, rng)), g
@@ -102,6 +108,15 @@ def test_recognizers_reject_lookalikes():
     cases = [(tadpole(c, tail), is_lollipop_graph) for c in range(4, 9) for tail in (1, 2, 5)]
     cases += [(paw_and_cycle, is_lollipop_graph), (claw_and_cycle, is_dynkin_graph)]
     cases += [(spider(*legs), is_dynkin_graph) for legs in ((1, 2, 2), (2, 2, 2), (1, 2, 4))]
+    # Each family on 1500 vertices beside a 500-cycle has the edge count
+    # and degrees of the family on 2000 vertices, but is disconnected.
+    ring = build_named("cycle", 500)
+    cases += [
+        (disjoint_union(build_named("path", 1500), ring), is_path_graph),
+        (disjoint_union(build_named("cycle", 1500), ring), is_cycle_graph),
+        (disjoint_union(build_named("lollipop", k=1497, m=3), ring), is_lollipop_graph),
+        (disjoint_union(build_named("dynkin_d", 1500), ring), is_dynkin_graph),
+    ]
     for g, predicate in cases:
         assert not predicate(g), g
         assert not predicate(shuffled_copy(g, rng)), g
@@ -109,6 +124,13 @@ def test_recognizers_reject_lookalikes():
     assert not is_cycle_graph(build_named("path", 4))
     # Disconnected 2-regular graph is not a cycle.
     assert not is_cycle_graph(Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]))
+
+
+def test_recognizers_test_degrees_before_building_a_report():
+    star = build_named("star", 2000)
+    assert not is_path_graph(star) and not is_cycle_graph(star)
+    assert not is_lollipop_graph(star) and not is_dynkin_graph(star)
+    assert star._report is None
 
 
 def test_recognizers_match_isomorphism_exhaustively():

@@ -347,8 +347,8 @@ def test_decide_builds_each_structure_report_once(monkeypatch):
     built = []
     build = graphs.StructureReport
 
-    def counting(**fields):
-        built.append(build(**fields))
+    def counting(*fields):
+        built.append(build(*fields))
         return built[-1]
 
     monkeypatch.setattr(graphs, "StructureReport", counting)
