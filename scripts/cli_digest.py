@@ -100,11 +100,11 @@ def battery():
             yield ["star", "structure", "--y", y]
 
 
-def digest() -> tuple[int, str]:
-    """(number of calls, SHA-256 hex digest) of the battery."""
+def digest(argvs) -> tuple[int, str]:
+    """(number of calls, SHA-256 hex digest) of the calls in argvs."""
     h = hashlib.sha256()
     calls = 0
-    for argv in battery():
+    for argv in argvs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
@@ -114,7 +114,7 @@ def digest() -> tuple[int, str]:
 
 
 def main() -> int:
-    calls, hexdigest = digest()
+    calls, hexdigest = digest(battery())
     print(f"{calls} calls sha256 {hexdigest}")
     return 0
 

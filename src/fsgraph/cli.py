@@ -8,7 +8,8 @@ printed as JSON on standard output; exit status is 0 on success, 2 on
 invalid input (an unknown command or flag included), 3 when a resource
 cap refuses the computation, and 1 when an oracle sweep finds a mismatch.
 Each command's words, handler, help line and flags appear once, in
-``_COMMANDS``.
+``_COMMANDS``; plain ``--flag value`` argv is read straight from that
+table, and argparse parses everything else and writes help and errors.
 """
 
 from __future__ import annotations
@@ -424,6 +425,48 @@ def _parser(words: tuple[str, ...]) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(words: tuple[str, ...], argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives for argv when every item is a full flag
+    name of the command, each flag but a store_true one followed by a value
+    that does not start with "-" and that the flag's type and choices
+    accept, and every required flag is present; a repeated flag keeps its
+    last value.  None for anything else (help, abbreviations,
+    --flag=value, unknown or missing flags, bad values), which is left to
+    argparse and its messages."""
+    flags = _COMMANDS[words][2]
+    given = {}
+    items = iter(argv)
+    for flag in items:
+        settings = flags.get(flag)
+        if settings is None:
+            return None
+        if settings.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(items, "-")   # a missing value fails like a flag would
+        if value.startswith("-"):
+            return None
+        if "type" in settings:
+            try:
+                value = settings["type"](value)
+            except ValueError:
+                return None
+        choices = settings.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    args = argparse.Namespace()
+    for flag, settings in flags.items():
+        if flag in given:
+            value = given[flag]
+        elif settings.get("required"):
+            return None
+        else:
+            value = settings.get("default", False if settings.get("action") else None)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
+
+
 def _usage() -> str:
     width = max(len(" ".join(words)) for words in _COMMANDS)
     rows = "".join(
@@ -454,7 +497,10 @@ def main(argv=None) -> int:
             raise SystemExit(0)
         sys.stderr.write(_usage())
         raise SystemExit(2)
-    args = _parser(words).parse_args(argv[len(words):])
+    rest = argv[len(words):]
+    args = _plain_args(words, rest)
+    if args is None:
+        args = _parser(words).parse_args(rest)
     try:
         config = _config_from_args(args)
         result = _COMMANDS[words][0](args, config)

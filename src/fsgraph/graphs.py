@@ -3,8 +3,9 @@
 Adjacency is stored as one bitmask per vertex (0-indexed internally,
 1-indexed at the API), because constant-time neighborhood tests dominate
 every enumeration loop in this package.  Graphs are immutable and
-hashable, so they can be shared freely and used as cache keys; each
-keeps its structure report once the first request has built it.
+hashable, so they can be shared freely and used as cache keys.  A graph
+is its masks: its edge list and its structure report are built on first
+use and kept.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ NAMED_FAMILIES = (
 class Graph:
     """An immutable simple graph on vertices 1..n (no loops, no multi-edges)."""
 
-    __slots__ = ("n", "_adj", "_edges", "_report")
+    __slots__ = ("n", "_adj", "_edge_pairs", "_report")
 
     n: int
     _adj: tuple[int, ...]          # _adj[v] has bit u set iff {v+1, u+1} is an edge
-    _edges: tuple[tuple[int, int], ...]   # 0-indexed (a, b) with a < b, sorted
+    _edge_pairs: tuple[tuple[int, int], ...] | None   # kept by the first _edges read
     _report: StructureReport | None       # kept by the first structure_report(g)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -44,7 +45,6 @@ class Graph:
         if n < 1:
             raise InvalidArgumentError(f"vertex count must be positive, got {n}")
         adj = [0] * n
-        edge_set: set[tuple[int, int]] = set()
         for e in edges:
             try:
                 i, j = e
@@ -56,32 +56,38 @@ class Graph:
                 raise InvalidArgumentError(f"edge {e!r} has an endpoint outside 1..{n}")
             if i == j:
                 raise InvalidArgumentError(f"loop at vertex {i} is not allowed")
-            a, b = (i - 1, j - 1) if i < j else (j - 1, i - 1)
-            edge_set.add((a, b))
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+            adj[i - 1] |= 1 << j - 1
+            adj[j - 1] |= 1 << i - 1
         self.n = n
         self._adj = tuple(adj)
-        self._edges = tuple(sorted(edge_set))
+        self._edge_pairs = None
         self._report = None
 
     @classmethod
-    def _from_masks(cls, adj: tuple[int, ...]) -> "Graph":
+    def _from_masks(cls, adj: Iterable[int]) -> "Graph":
         """Unchecked constructor from 0-indexed adjacency masks; the caller
         guarantees them symmetric, loop-free and inside range(len(adj))."""
         g = object.__new__(cls)
-        g.n = len(adj)
         g._adj = tuple(adj)
-        edges = []
-        for a, mask in enumerate(g._adj):
-            mask >>= a + 1
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                edges.append((a, a + low.bit_length()))
-        g._edges = tuple(edges)
+        g.n = len(g._adj)
+        g._edge_pairs = None
         g._report = None
         return g
+
+    @property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        """0-indexed edges (a, b) with a < b, sorted; listed from the masks
+        on first use and kept."""
+        if self._edge_pairs is None:
+            edges = []
+            for a, mask in enumerate(self._adj):
+                mask >>= a + 1
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    edges.append((a, a + low.bit_length()))
+            self._edge_pairs = tuple(edges)
+        return self._edge_pairs
 
     # -- basic queries ----------------------------------------------------
 
@@ -92,7 +98,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(map(int.bit_count, self._adj)) >> 1
 
     @property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -157,6 +163,20 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 # -- named families --------------------------------------------------------
 
 
+def _clique_masks(n: int, first: int) -> list[int]:
+    """Masks on n vertices of the clique on 0-indexed vertices first..n-1."""
+    clique = (1 << n) - (1 << first)
+    return [0] * first + [clique ^ 1 << v for v in range(first, n)]
+
+
+def _with_edges(adj: list[int], edges: Iterable[tuple[int, int]]) -> Graph:
+    """The graph of masks adj plus the trusted 1-indexed edges."""
+    for i, j in edges:
+        adj[i - 1] |= 1 << j - 1
+        adj[j - 1] |= 1 << i - 1
+    return Graph._from_masks(adj)
+
+
 def build_named(
     family: str,
     n: int | None = None,
@@ -175,6 +195,9 @@ def build_named(
     """
     if family not in NAMED_FAMILIES:
         raise InvalidArgumentError(f"unknown family {family!r}, expected one of {NAMED_FAMILIES}")
+    for value in (n, k, m):
+        if value is not None and type(value) is not int:
+            raise InvalidArgumentError(f"family parameters must be integers, got {value!r}")
 
     if family == "lollipop":
         if k is None or m is None:
@@ -183,10 +206,7 @@ def build_named(
             raise InvalidArgumentError(f"lollipop needs k >= 0 and m >= 1, got k={k}, m={m}")
         if n is not None and n != k + m:
             raise InvalidArgumentError(f"lollipop has k+m={k + m} vertices, but n={n} given")
-        n = k + m
-        edges = [(i, i + 1) for i in range(1, k + 1)]
-        edges += [(i, j) for i in range(k + 1, n + 1) for j in range(i + 1, n + 1)]
-        return Graph(n, edges)
+        return _with_edges(_clique_masks(k + m, k), ((i, i + 1) for i in range(1, k + 1)))
 
     if family == "theta0":
         if n is not None and n != 7:
@@ -197,7 +217,7 @@ def build_named(
             (hub_a, 3), (3, 4), (4, hub_b),
             (hub_a, 5), (5, 6), (6, hub_b),
         ]
-        return Graph(7, edges)
+        return _with_edges([0] * 7, edges)
 
     if n is None:
         raise InvalidArgumentError(f"family {family!r} needs a vertex count n")
@@ -205,28 +225,30 @@ def build_named(
         raise InvalidArgumentError(f"vertex count must be positive, got {n}")
 
     if family == "edgeless":
-        return Graph(n)
+        return Graph._from_masks([0] * n)
     if family == "complete":
-        return Graph(n, ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+        return Graph._from_masks(_clique_masks(n, 0))
     if family == "path":
-        return Graph(n, ((i, i + 1) for i in range(1, n)))
+        return _with_edges([0] * n, ((i, i + 1) for i in range(1, n)))
     if family == "cycle":
         if n < 3:
             raise InvalidArgumentError(f"cycle needs n >= 3, got {n}")
-        return Graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
+        return _with_edges([0] * n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
     if family == "star":
-        return Graph(n, ((i, n) for i in range(1, n)))
+        return _with_edges([0] * n, ((i, n) for i in range(1, n)))
     if family == "complete_bipartite":
         if k is None:
             raise InvalidArgumentError("complete_bipartite needs the part size k")
         if not 1 <= k <= n - 1:
             raise InvalidArgumentError(f"complete_bipartite needs 1 <= k <= n-1, got k={k}, n={n}")
-        return Graph(n, ((i, j) for i in range(1, k + 1) for j in range(k + 1, n + 1)))
+        left = (1 << k) - 1
+        right = (1 << n) - 1 ^ left
+        return Graph._from_masks([right] * k + [left] * (n - k))
     if family == "dynkin_d":
         if n < 3:
             raise InvalidArgumentError(f"dynkin_d needs n >= 3, got {n}")
         edges = [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
-        return Graph(n, edges)
+        return _with_edges([0] * n, edges)
 
     raise AssertionError(f"unhandled family {family!r}")
 

@@ -1,18 +1,23 @@
+import ast
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from conftest import PAW, PETERSEN
-from fsgraph.cli import _COMMANDS, _FAMILY_PARAM_COUNT, _parser, main, read_graph
+from fsgraph.cli import _COMMANDS, _FAMILY_PARAM_COUNT, _parser, _plain_args, main, read_graph
 from fsgraph.graphio import graph_to_json_dict, to_graph6
 from fsgraph import Graph, Orientation, build_named, disjoint_union
 from fsgraph.graphs import NAMED_FAMILIES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -455,7 +460,10 @@ def test_star_partner_cycle_answers_in_bounded_time(capsys):
 )
 def test_counts_past_the_int_to_str_limit_exit_3(capsys, argv):
     # 1698!, 1998! and 1800! each have more than 4300 decimal digits.
+    # Refused up front: K_1800 is built as masks, not as its 1.6 million edges.
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert err.startswith("resource limit: ") and err.count("\n") == 1
 
@@ -652,3 +660,117 @@ def test_graph_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "decide", "--x", f"@{bad}", "--y", "family:path:3")
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot read graph file")
+
+
+def test_decide_answers_a_long_cycle_against_a_long_path_within_a_second(capsys):
+    # The cycle rule reads the report of the path's complement, built as
+    # masks; listing its 4.5 million edges took seconds.
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "decide", "--x", "family:cycle:3000", "--y", "family:path:3000")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["theorem"] == "cycle-complement-forest"
+
+
+# -- plain argv against argparse ---------------------------------------------------
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _argv_literals() -> list[list[str]]:
+    """Every argv written out in this file: the arguments of run_cli calls
+    and every tuple or list literal that starts with a command.  A
+    name or other expression in one stands for the value "3"; an argv
+    with a starred part is skipped (its parts are literals of their own)."""
+    found = []
+    for node in ast.walk(ast.parse(Path(__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            items = node.elts
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_cli":
+            items = node.args[1:]
+        else:
+            continue
+        if not items or any(isinstance(item, ast.Starred) for item in items):
+            continue
+        argv = [
+            item.value if isinstance(item, ast.Constant) and isinstance(item.value, str) else "3"
+            for item in items
+        ]
+        if tuple(argv[:2]) in _COMMANDS or tuple(argv[:1]) in _COMMANDS:
+            found.append(argv)
+    return found
+
+
+def _argparse_vars(words, rest):
+    """vars() of argparse's namespace for rest, or None when it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(_parser(words).parse_args(rest))
+    except SystemExit:
+        return None
+
+
+def _plain_or_same(argv):
+    """_plain_args of argv, checked to be None or argparse's answer with
+    the same names, values and value types."""
+    words = next(w for w in (tuple(argv[:2]), tuple(argv[:1])) if w in _COMMANDS)
+    rest = argv[len(words):]
+    fast = _plain_args(words, rest)
+    if fast is not None:
+        typed = {name: (type(v), v) for name, v in vars(fast).items()}
+        slow = _argparse_vars(words, rest)
+        assert slow is not None and typed == {name: (type(v), v) for name, v in slow.items()}, argv
+    return fast
+
+
+# (argv, whether the table parses it without argparse)
+CRAFTED_ARGV = [
+    (["fs", "components", "--x=family:path:3", "--y", "family:path:3"], False),
+    (["fs", "components", "--x", "family:path:3", "--y", "family:path:3", "--listing", "1"], False),
+    (["fs", "components", "--x", "family:path:3", "--y", "family:path:3", "--list", "1"], False),
+    (["path", "structure", "--y", "family:path:3", "--list"], True),
+    (["path", "structure", "--y", "family:path:3", "--list", "--list"], True),
+    (["path", "structure", "--y", "family:path:3", "--list", "yes"], False),
+    (["decide", "--x", "family:path:3", "--y", "family:path:3", "--x", "family:cycle:3"], True),
+    (["decide", "--x", "family:path:3", "--y"], False),
+    (["decide", "--x", "family:path:3"], False),
+    (["decide", "--x", "--y", "family:path:3"], False),
+    (["tutte", "eval", "--g", "family:path:3", "--x", "-1", "--y", "0"], False),
+    (["tutte", "eval", "--g", "family:path:3", "--x", " 2", "--y", "1_0"], True),
+    (["tutte", "eval", "--g", "family:path:3", "--x", "two", "--y", "0"], False),
+    (["tutte", "eval", "--g", "family:path:3", "--x", "", "--y", "0"], False),
+    (["decide", "--x", "family:path:3", "--y", "family:path:3", "--z", "1"], False),
+    (["decide", "--x", "family:path:3", "--y", "family:path:3", "--"], False),
+    (["decide", "-h"], False),
+    (["decide", "--help"], False),
+    (["decide", "--x", "", "--y", "family:path:3"], True),
+    (["acyc", "partition", "--g", "family:path:3", "--kind", "toric"], True),
+    (["acyc", "partition", "--g", "family:path:3", "--kind", "torus"], False),
+    (["oracle-sweep"], True),
+    (["oracle-sweep", "--max-n", "2", "--families", "path", "--state-cap", "50"], True),
+]
+
+
+def test_plain_argv_parses_like_argparse():
+    battery = list(_load_script("cli_digest").battery())
+    assert len(battery) == 5282
+    # The digest covers the table path: no battery call falls back.
+    assert all(_plain_or_same(argv) is not None for argv in battery)
+    literals = _argv_literals()
+    assert len(literals) > 80
+    for argv in literals:
+        _plain_or_same(argv)
+    for argv, plain in CRAFTED_ARGV:
+        assert (_plain_or_same(argv) is not None) == plain, argv
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CRAFTED_ARGV])
+def test_crafted_argv_answers_as_through_argparse(argv, monkeypatch):
+    # Exit status, stdout and stderr equal those of argparse parsing alone.
+    fast = _run_captured(argv)
+    monkeypatch.setattr("fsgraph.cli._plain_args", lambda words, rest: None)
+    assert fast == _run_captured(argv)

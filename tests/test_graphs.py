@@ -18,7 +18,7 @@ from fsgraph import (
     induced_subgraph,
     structure_report,
 )
-from fsgraph.graphs import _drop_vertex, _hamiltonian_paths, iter_hamiltonian_paths
+from fsgraph.graphs import NAMED_FAMILIES, _drop_vertex, _hamiltonian_paths, iter_hamiltonian_paths
 
 
 def graph_strategy(max_n=8):
@@ -98,6 +98,61 @@ def test_family_bounds():
         build_named("lollipop", k=2, m=0)
     with pytest.raises(InvalidArgumentError):
         build_named("nonsense", 4)
+    for args, kwargs in ((("path", 3.0), {}), (("complete_bipartite", 4), {"k": 2.0}),
+                         (("lollipop",), {"k": 2, "m": "3"})):
+        with pytest.raises(InvalidArgumentError, match="must be integers"):
+            build_named(*args, **kwargs)
+
+
+def _family_edges(family: str, n: int) -> tuple[Graph, list[tuple[int, int]]]:
+    """One named family on n vertices as the edge list that defines it,
+    with the build_named call that should give it."""
+    if family == "complete":
+        return build_named(family, n), list(itertools.combinations(range(1, n + 1), 2))
+    if family == "edgeless":
+        return build_named(family, n), []
+    if family == "path":
+        return build_named(family, n), [(i, i + 1) for i in range(1, n)]
+    if family == "cycle":
+        return build_named(family, n), [(i, i + 1) for i in range(1, n)] + [(n, 1)]
+    if family == "star":
+        return build_named(family, n), [(i, n) for i in range(1, n)]
+    if family == "dynkin_d":
+        return build_named(family, n), [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
+    if family == "complete_bipartite":
+        k = n // 3 + 1
+        return build_named(family, n, k=k), [(i, j) for i in range(1, k + 1) for j in range(k + 1, n + 1)]
+    if family == "lollipop":
+        k = n // 2
+        tail = [(i, i + 1) for i in range(1, k + 1)]
+        return build_named(family, k=k, m=n - k), tail + list(itertools.combinations(range(k + 1, n + 1), 2))
+    assert family == "theta0" and n == 7
+    edges = [(1, 2), (2, 7), (1, 3), (3, 4), (4, 7), (1, 5), (5, 6), (6, 7)]
+    return build_named(family), edges
+
+
+def test_named_families_match_the_edge_list_constructor():
+    for family in NAMED_FAMILIES:
+        least = {"theta0": 7, "cycle": 3, "dynkin_d": 3, "complete_bipartite": 2}.get(family, 1)
+        for n in range(least, 8 if family == "theta0" else 13):
+            g, edges = _family_edges(family, n)
+            assert g._edge_pairs is None
+            assert g.edge_count == len(edges), (family, n)
+            assert g._edge_pairs is None   # counted from the masks
+            assert _same_graph(g, Graph(n, edges)), (family, n)
+            assert g.edges == Graph(n, edges).edges == tuple(sorted(tuple(sorted(e)) for e in edges))
+
+
+def test_large_families_are_built_as_masks_only():
+    start = time.perf_counter()
+    k3000 = build_named("complete", 3000)
+    assert time.perf_counter() - start < 0.5
+    assert k3000.edge_count == 3000 * 2999 // 2 and k3000._edge_pairs is None
+    for g in (build_named("cycle", 3000).complement(), build_named("lollipop", k=1000, m=2000)):
+        assert g._edge_pairs is None
+    # The edge tuple is built on first use and kept.
+    g = build_named("star", 5)
+    assert g._edges == ((0, 4), (1, 4), (2, 4), (3, 4)) and g._edges is g._edge_pairs
 
 
 # -- complement ----------------------------------------------------------------

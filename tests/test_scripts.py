@@ -1,6 +1,6 @@
 """The scripts under scripts/ refuse oversized runs the way the CLI does:
 one line on stderr and exit status 3, no traceback; the CLI digest does
-not depend on the hash seed."""
+not depend on the hash seed, and the decide digest prints its pin."""
 
 import os
 import subprocess
@@ -59,3 +59,12 @@ def test_cli_digest_does_not_depend_on_the_hash_seed():
         "5282 calls sha256 38c4bf37c2b51947f7bbac008ac6d31031da91e1e41c15d676ed86ddb6eb2fa0\n"
     )
     assert outputs[0] == outputs[1]
+
+
+def test_decide_digest_hashes_the_benchmark_corpus():
+    done = run_script("decide_digest.py")
+    assert done.returncode == 0, done.stderr
+    # The pin changes only on purpose, with any change to decide's stdout or exit codes.
+    assert done.stdout == (
+        "600 calls sha256 f66c01f50a282428db27690b41d3fac1bf11549954a4e56abb9816a940b35661\n"
+    )
