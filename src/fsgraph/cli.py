@@ -179,10 +179,21 @@ def _cmd_fs_neighbors(args, config: RunConfig):
     }
 
 
+def _capped_dot(g: Graph, name: str, config: RunConfig) -> str:
+    """DOT text of g, refused before any text is built when g has more
+    edges than the listing cap."""
+    edges = g.edge_count
+    if edges > config.listing_cap:
+        raise ResourceLimitError(
+            f"the DOT drawing has {edges} edges, past the listing cap of {config.listing_cap}"
+        )
+    return to_dot(g, name=name)
+
+
 def _cmd_path_structure(args, config: RunConfig):
     y = read_graph(args.y)
     if args.format == "dot":
-        return to_dot(y.complement(), name="complement")
+        return _capped_dot(y.complement(), "complement", config)
     result = path_fs_structure(y, include_classes=args.list, config=config)
     payload: dict = {"component_count": result.component_count}
     if args.list:
@@ -200,7 +211,7 @@ def _cmd_path_structure(args, config: RunConfig):
 def _cmd_cycle_structure(args, config: RunConfig):
     y = read_graph(args.y)
     if args.format == "dot":
-        return to_dot(y.complement(), name="complement")
+        return _capped_dot(y.complement(), "complement", config)
     result = cycle_fs_structure(y, include_classes=args.list, config=config)
     payload: dict = {
         "component_count": result.component_count,
@@ -225,7 +236,7 @@ def _cmd_cycle_structure(args, config: RunConfig):
 def _cmd_star_structure(args, config: RunConfig):
     y = read_graph(args.y)
     if args.format == "dot":
-        return to_dot(y, name="partner")
+        return _capped_dot(y, "partner", config)
     result = star_fs_structure(y)
     if result is None:
         return {"applicable": False}
@@ -490,8 +501,10 @@ def _config_from_args(args) -> RunConfig:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    words = next((w for w in (tuple(argv[:2]), tuple(argv[:1])) if w in _COMMANDS), None)
-    if words is None:
+    words = tuple(argv[:2])
+    if words not in _COMMANDS:
+        words = tuple(argv[:1])
+    if words not in _COMMANDS:
         if {"-h", "--help"} & set(argv[:2]):
             sys.stdout.write(_usage())
             raise SystemExit(0)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from itertools import filterfalse
 from operator import itemgetter
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -184,10 +185,9 @@ def iter_component_states(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG):
     seen: set[bytes] = set()
     cap = config.state_cap
     maps = None
-    for word in itertools.permutations(range(1, inst.n + 1)):
-        start = bytes(word)
-        if start in seen:
-            continue
+    # The unseen words, tested in C as the loop asks for each next start.
+    words = map(bytes, itertools.permutations(range(1, inst.n + 1)))
+    for start in filterfalse(seen.__contains__, words):
         comp = _bfs_from(inst, start, seen, cap)
         yield start, len(comp)
         if len(seen) == total:

@@ -9,6 +9,7 @@ scale.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 
 from .errors import InvalidArgumentError
@@ -75,12 +76,14 @@ def to_graph6(g: Graph) -> str:
 
 @functools.cache
 def _graph6_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Per bit of a graph6 body read as one integer (padding shifted out),
-    lowest bit first: (i, 1 << j, j, 1 << i) for the vertex pair {i, j}
-    it stands for, 0-indexed.  The body lists the pairs i < j column by
-    column (j = 1..n-1) from its highest bit down."""
-    order = [(i, j) for j in range(1, n) for i in range(j)]
-    return tuple((i, 1 << j, j, 1 << i) for i, j in reversed(order))
+    """Per vertex pair {i, j}, 0-indexed, in the order a graph6 body lists
+    them (i < j, column by column for j = 1..n-1): (i, 1 << j, j, 1 << i)."""
+    return tuple((i, 1 << j, j, 1 << i) for j in range(1, n) for i in range(j))
+
+
+# Per graph6 byte value c (63..126): the six bits of c - 63, highest
+# first, as bytes 0 and 1.
+_GRAPH6_BITS = {c: bytes(c - 63 >> k & 1 for k in range(5, -1, -1)) for c in range(63, 127)}
 
 
 def from_graph6(text: str) -> Graph:
@@ -103,15 +106,11 @@ def from_graph6(text: str) -> Graph:
         raise InvalidArgumentError(
             f"graph6 body has {len(data) - 1} groups, expected {need} for n={n}"
         )
-    body = 0
-    for c in data[1:]:
-        body = body << 6 | c - 63
-    body >>= 6 * need - len(pairs)   # the padding bits are ignored
+    # The body's bits, one byte each, select the pairs that are edges; the
+    # padding bits past the last pair are ignored.
+    bits = b"".join(map(_GRAPH6_BITS.__getitem__, data[1:]))
     adj = [0] * n
-    while body:
-        low = body & -body
-        body ^= low
-        i, j_bit, j, i_bit = pairs[low.bit_length() - 1]
+    for i, j_bit, j, i_bit in itertools.compress(pairs, bits):
         adj[i] |= j_bit
         adj[j] |= i_bit
     return Graph._from_masks(adj)

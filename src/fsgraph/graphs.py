@@ -356,77 +356,95 @@ def structure_report(g: Graph) -> StructureReport:
       that a finished subtree's edges reach.  A vertex other than the root
       is a cut vertex when the subtree of one of its children reaches none
       of its proper ancestors; the root is one when it has a second child.
+      A depth-first search of an undirected graph leaves no cross edges,
+      so what a subtree reaches among the vertices seen before its parent
+      p was discovered lies among p's proper ancestors: each vertex keeps
+      the mask seen before it, and no mask of the search path is kept.
+
+    The search takes few Python steps per vertex: it walks the current
+    vertex with a stack of its ancestors, seeds each vertex's lowpoint
+    mask with its neighbourhood (a finished vertex ORs its mask into its
+    parent's), and swaps the masks of the current depth's side and the
+    other side at each step down or up.  A connected graph's one component
+    and an empty cut set are written out directly, and the degrees are
+    counted once for the minimum, the maximum and the edge count.
     """
     if g._report is not None:
         return g._report
     adj = g._adj
     n = g.n
     full = (1 << n) - 1
+    low = list(adj)   # per vertex: what its edges and finished subtrees reach
+    before = [0] * n  # per vertex: what was seen before it was discovered
     comp_masks = []
-    sides = [0, 0]   # vertices at even and at odd depth
-    clash = 0        # nonzero once an edge joins two equal depths
+    here = there = 0  # vertices at the current vertex's depth parity, and at the other
+    clash = 0         # nonzero once an edge joins two equal depths
     cut = 0
-    path = []        # the search path from the root: vertex indices
-    reach = []       # per path vertex: what its finished subtrees reach
     seen = 0
     while seen != full:
         root = ~seen & seen + 1
         start = seen
         seen |= root
-        sides[0] |= root
+        here |= root
         r = root.bit_length() - 1
         if adj[r]:
-            path.append(r)
-            reach.append(0)
-            on_path = root
-            while path:
-                v = path[-1]
+            stack = []   # the proper ancestors of v, root first
+            v = r
+            while True:
                 fresh = adj[v] & ~seen
                 if fresh:
                     bit = fresh & -fresh
                     u = bit.bit_length() - 1
-                    side = len(path) & 1
-                    clash |= adj[u] & sides[side]
-                    sides[side] |= bit
+                    clash |= adj[u] & there
+                    there |= bit
+                    here, there = there, here
+                    before[u] = seen
                     seen |= bit
-                    on_path |= bit
-                    path.append(u)
-                    reach.append(adj[u])
+                    stack.append(v)
+                    v = u
                     continue
-                path.pop()
-                low = reach.pop()
-                on_path ^= 1 << v
-                if len(path) > 1:
-                    p = 1 << path[-1]
-                    if not low & (on_path ^ p):
-                        cut |= p
-                    reach[-1] |= low
-                elif path and adj[r] & ~seen:
+                if not stack:
+                    break
+                p = stack.pop()
+                here, there = there, here
+                if stack:
+                    reach = low[v]
+                    if not reach & before[p]:
+                        cut |= 1 << p
+                    low[p] |= reach
+                elif adj[r] & ~seen:
                     cut |= root
+                v = p
         comp_masks.append(seen ^ start)
     connected = len(comp_masks) == 1
 
     bipartite = n >= 2 and not clash
     bipartition = None
     if bipartite:
-        side_a = _mask_to_vertices(sides[0])
-        side_b = _mask_to_vertices(sides[1])
+        side_a = _mask_to_vertices(here)   # the roots' side: even depths
+        side_b = _mask_to_vertices(there)
         if not side_b:
             side_a, side_b = side_a[:-1], side_a[-1:]
         bipartition = (side_a, side_b)
 
     degs = g.degrees()
+    if connected:
+        components = (tuple(range(1, n + 1)),)
+        gcd = n
+    else:
+        components = tuple(map(_mask_to_vertices, comp_masks))
+        gcd = math.gcd(*map(int.bit_count, comp_masks))
     g._report = StructureReport(
-        tuple(map(_mask_to_vertices, comp_masks)),
+        components,
         connected,
         bipartite,
         bipartition,
-        frozenset(_mask_to_vertices(cut)),
+        frozenset(_mask_to_vertices(cut)) if cut else frozenset(),
         n >= 2 and connected and not cut,
         min(degs),
         max(degs),
-        g.edge_count == n - len(comp_masks),
-        math.gcd(*map(int.bit_count, comp_masks)),
+        sum(degs) >> 1 == n - len(comp_masks),
+        gcd,
     )
     return g._report
 

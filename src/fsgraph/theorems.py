@@ -251,32 +251,42 @@ def cut_path_certificate(x: Graph) -> CutPathCertificate:
 
     Interior vertices have a forced continuation, so walking from every
     cut vertex through every neighbor enumerates all candidates; each
-    candidate is then vetted by the separation check above.
+    candidate is then vetted by the separation check above.  The walk
+    reads the adjacency masks: the cut set, each start's neighbours (in
+    ascending order) and the path so far are masks, and a degree-2
+    vertex's continuation is its neighbourhood minus the vertex before it.
     """
     cuts = sorted(structure_report(x).cut_vertices)
     if not cuts:
         return CutPathCertificate(0, None)
-    cut_set = set(cuts)
+    adj = x._adj
+    cut_mask = sum(1 << (v - 1) for v in cuts)
     best = (1, (cuts[0],))
     for s in cuts:
-        for u in x.neighbors(s):
-            path = [s, u]
-            prev, cur = s, u
+        s_bit = 1 << (s - 1)
+        nbrs = adj[s - 1]
+        while nbrs:
+            cur_bit = nbrs & -nbrs
+            nbrs ^= cur_bit
+            path = [s, cur_bit.bit_length()]
+            walked = s_bit | cur_bit
+            prev_bit = s_bit
             while True:
                 if (
-                    cur in cut_set
+                    cur_bit & cut_mask
                     and len(path) > best[0]
                     and _separating_path(x, tuple(path))
                 ):
                     best = (len(path), tuple(path))
-                if x.degree(cur) != 2:
+                ahead = adj[path[-1] - 1]
+                if ahead.bit_count() != 2:
                     break
-                a, b = x.neighbors(cur)
-                nxt = b if a == prev else a
-                if nxt in path:
+                ahead ^= prev_bit
+                if ahead & walked:
                     break
-                path.append(nxt)
-                prev, cur = cur, nxt
+                path.append(ahead.bit_length())
+                walked |= ahead
+                prev_bit, cur_bit = cur_bit, ahead
     return CutPathCertificate(best[0], best[1])
 
 

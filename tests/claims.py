@@ -8,7 +8,7 @@ import math
 
 from fsgraph import FSInstance, Graph, induced_subgraph, linear_extensions, phi, structure_report
 from fsgraph.fscore import component_count
-from fsgraph.theorems import _components_without, _count_margin_matrices
+from fsgraph.theorems import _components_without, _count_margin_matrices, _separating_path
 
 
 def class_extensions(cls) -> frozenset:
@@ -40,6 +40,34 @@ def margin_count(x: Graph, y: Graph, x0: int, y0: int) -> int:
     rows = tuple(m.bit_count() for m in _components_without(x, x0))
     cols = tuple(m.bit_count() for m in _components_without(y, y0))
     return _count_margin_matrices(rows, cols, {})
+
+
+def reference_cut_path(x: Graph) -> tuple[int, tuple[int, ...] | None]:
+    """(d, path) of the longest usable cut path, by the walk the certificate
+    is defined by, on neighbors() and degree(): from every cut vertex in
+    ascending order through every neighbour in ascending order, continuing
+    while the current vertex has degree 2, the first strictly longer
+    separating path winning."""
+    cuts = sorted(structure_report(x).cut_vertices)
+    if not cuts:
+        return 0, None
+    best = (1, (cuts[0],))
+    for s in cuts:
+        for u in x.neighbors(s):
+            path = [s, u]
+            prev, cur = s, u
+            while True:
+                if cur in cuts and len(path) > best[0] and _separating_path(x, tuple(path)):
+                    best = (len(path), tuple(path))
+                if x.degree(cur) != 2:
+                    break
+                a, b = x.neighbors(cur)
+                nxt = b if a == prev else a
+                if nxt in path:
+                    break
+                path.append(nxt)
+                prev, cur = cur, nxt
+    return best
 
 
 def _ordered_set_partitions(universe: tuple[int, ...], sizes: tuple[int, ...]):

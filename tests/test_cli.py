@@ -266,6 +266,38 @@ def test_dot_outputs(capsys):
     assert out.startswith("graph complement {")
 
 
+@pytest.mark.parametrize(
+    "argv, edges",
+    [
+        # The complement of a path on 1000 vertices has 498501 edges.
+        (("path", "structure", "--y", "family:path:1000"), 498501),
+        (("cycle", "structure", "--y", "family:path:1000"), 498501),
+        (("path", "structure", "--y", "family:path:200", "--listing-cap", "19700"), 19701),
+        # star structure takes no cap flag and draws Y itself under the default cap.
+        (("star", "structure", "--y", "family:complete:200"), 19900),
+    ],
+)
+def test_dot_drawings_past_the_listing_cap_exit_3_up_front(capsys, argv, edges):
+    # The drawing's text grows as n^2; it was written in full before the cap.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--format", "dot")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit:") and f"{edges} edges" in err
+
+
+def test_dot_drawings_at_the_listing_cap_are_written(capsys):
+    code, out, _ = run_cli(
+        capsys, "path", "structure", "--y", "family:path:200", "--listing-cap", "19701",
+        "--format", "dot",
+    )
+    assert code == 0
+    assert out.count(" -- ") == 19701
+    code, out, _ = run_cli(capsys, "star", "structure", "--y", "family:complete:141", "--format", "dot")
+    assert code == 0
+    assert out.startswith("graph partner {") and out.count(" -- ") == 9870
+
+
 def test_exit_code_invalid_argument(capsys):
     code, _, err = run_cli(capsys, "decide", "--x", "family:path:3", "--y", "family:path:4")
     assert code == 2

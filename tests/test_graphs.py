@@ -456,6 +456,25 @@ def _deep_sparse_graph(rng, n, extra):
     return Graph(n + tail, edges)
 
 
+def _assert_report_types(r):
+    """The report's fields have the types its annotations give: vertex
+    lists are tuples of ints and the cut set is a frozenset (== alone
+    would accept a set in its place)."""
+    assert type(r.components) is tuple
+    assert all(type(c) is tuple and all(type(v) is int for v in c) for c in r.components)
+    assert r.bipartition is None or (
+        type(r.bipartition) is tuple
+        and len(r.bipartition) == 2
+        and all(type(side) is tuple for side in r.bipartition)
+    )
+    assert type(r.cut_vertices) is frozenset
+    assert all(type(v) is int for v in r.cut_vertices)
+    for flag in (r.is_connected, r.is_bipartite, r.is_biconnected, r.is_forest):
+        assert type(flag) is bool
+    for count in (r.min_degree, r.max_degree, r.gcd_of_component_sizes):
+        assert type(count) is int
+
+
 def test_structure_report_matches_definitions_on_random_graphs():
     rng = random.Random(17)
     for n in range(1, 13):
@@ -463,6 +482,7 @@ def test_structure_report_matches_definitions_on_random_graphs():
             for _ in range(6):
                 g = random_graph(rng, n, p)
                 assert _report_fields(g) == _reference_report(g), g
+                _assert_report_types(structure_report(g))
     # Random trees, unicyclic and bicyclic graphs (extra = 0, 1, 2) with a
     # pendant path, up to 320 vertices: the search path runs hundreds deep.
     for n in (2, 3, 5, 40, 120, 300):
@@ -470,6 +490,7 @@ def test_structure_report_matches_definitions_on_random_graphs():
             for _ in range(3):
                 g = _deep_sparse_graph(rng, n, extra)
                 assert _report_fields(g) == _reference_report(g), g
+                _assert_report_types(structure_report(g))
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """The scripts under scripts/ refuse oversized runs the way the CLI does:
 one line on stderr and exit status 3, no traceback; the CLI digest does
-not depend on the hash seed, and the decide digest prints its pin."""
+not depend on the hash seed, the decide digest prints its pin, and the
+decide layer timer prints one JSON object."""
 
+import json
 import os
 import subprocess
 import sys
@@ -68,3 +70,15 @@ def test_decide_digest_hashes_the_benchmark_corpus():
     assert done.stdout == (
         "600 calls sha256 f66c01f50a282428db27690b41d3fac1bf11549954a4e56abb9816a940b35661\n"
     )
+
+
+def test_decide_layers_times_each_layer_of_the_corpus():
+    done = run_script("decide_layers.py", "--seed", "3")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["workload"], report["seed"], report["pairs"], report["rounds"]) == (
+        "decide", 3, 200, 30,
+    )
+    layers = report["us_per_pair"]
+    assert set(layers) == {"graph6_decode", "structure_report", "decide_chain", "cli_main"}
+    assert all(type(us) is float and us > 0 for us in layers.values())

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from claims import class_extensions
+from claims import class_extensions, reference_cut_path
 from conftest import (
     SPIDER_COMPLEMENT_5,
     SPIDER_TREE_5,
@@ -242,6 +242,24 @@ def test_cut_path_on_cycles_and_paths():
     cert = cut_path_certificate(build_named("path", 4))
     assert cert.d == 2
     assert cert.path == (2, 3)
+
+
+def test_cut_path_certificate_matches_the_reference_walk():
+    # The certificate walks adjacency masks; the reference walks neighbors()
+    # and degree().  Both must pick the same path, ties included.
+    graphs_seen = []
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            graphs_seen.append(Graph(n, [e for k, e in enumerate(pairs) if bits >> k & 1]))
+    rng = random.Random(29)
+    for n in range(1, 13):
+        for p in (0.1, 0.2, 0.35, 0.5):
+            for _ in range(25):
+                graphs_seen.append(random_graph(rng, n, p))
+    for g in graphs_seen:
+        cert = cut_path_certificate(g)
+        assert (cert.d, cert.path) == reference_cut_path(g), g
 
 
 def test_cut_path_witness_is_valid():
