@@ -22,7 +22,6 @@ from .graphs import (
     build_named,
     delete_vertex,
     disjoint_union,
-    has_hamiltonian_path,
     induced_subgraph,
     structure_report,
 )
@@ -40,13 +39,11 @@ from .theorems import (
     ConnectivityVerdict,
     CutPathCertificate,
     CycleStructure,
-    HereditaryResult,
     PathStructure,
     StarStructure,
     cut_path_certificate,
     cycle_fs_structure,
     decide_connectivity,
-    hereditary_sufficiency,
     path_fs_structure,
     star_fs_structure,
     tutte_eval,
@@ -68,7 +65,6 @@ __all__ = [
     "induced_subgraph",
     "delete_vertex",
     "disjoint_union",
-    "has_hamiltonian_path",
     "Permutation",
     "Orientation",
     "OrientationPartition",
@@ -88,13 +84,11 @@ __all__ = [
     "CycleStructure",
     "StarStructure",
     "CutPathCertificate",
-    "HereditaryResult",
     "tutte_eval",
     "path_fs_structure",
     "cycle_fs_structure",
     "star_fs_structure",
     "cut_path_certificate",
     "decide_connectivity",
-    "hereditary_sufficiency",
     "__version__",
 ]

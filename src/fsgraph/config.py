@@ -19,9 +19,8 @@ DEFAULT_LISTING_CAP = 10_000     # max permutations listed in reports
 DEFAULT_CLOSURE_CAP = 100_000    # max acyclic orientations x (1 + flip selections) in a closure or listing
 DEFAULT_TUTTE_NODE_CAP = 100_000   # max memoised multigraphs in one Tutte evaluation
 DEFAULT_EXTENSION_VERTEX_CAP = 10   # max n for linear-extension listings
-DEFAULT_HEREDITARY_BASE = 5      # brute-force floor of the hereditary recursion
-DEFAULT_HEREDITARY_LABELINGS = 24   # Hamiltonian paths of X tried per hereditary step
-DEFAULT_HEREDITARY_NODE_BUDGET = 2_000   # max pairs one hereditary recursion expands
+DEFAULT_FIBER_BASE = 6           # max n the fiber induction of decide settles by brute force
+DEFAULT_FIBER_WORK_BUDGET = 300_000   # max work of one fiber induction, in brute-force states
 
 
 @dataclass(frozen=True)

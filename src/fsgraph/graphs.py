@@ -448,48 +448,3 @@ def structure_report(g: Graph) -> StructureReport:
     )
     return g._report
 
-
-# -- Hamiltonian paths ----------------------------------------------------------
-
-
-def _hamiltonian_paths(adj: tuple[int, ...]):
-    """Yield the Hamiltonian paths of the mask graph as 0-indexed vertex
-    tuples, in lexicographic order of the sequence; both traversal
-    directions are produced."""
-    n = len(adj)
-    if n == 1:
-        yield (0,)
-        return
-    for start in range(n):
-        path = [start]
-        visited = 1 << start
-        pending = [adj[start] & ~visited]   # untried next vertices, per depth
-        while pending:
-            nbrs = pending[-1]
-            if not nbrs:
-                pending.pop()
-                visited ^= 1 << path.pop()
-                continue
-            low = nbrs & -nbrs
-            pending[-1] = nbrs ^ low
-            path.append(low.bit_length() - 1)
-            if len(path) == n:
-                yield tuple(path)
-                path.pop()
-            else:
-                visited |= low
-                pending.append(adj[path[-1]] & ~visited)
-
-
-def iter_hamiltonian_paths(g: Graph):
-    """Yield Hamiltonian paths as 1-indexed vertex tuples, in lexicographic
-    order of the sequence.  Both traversal directions are produced."""
-    for path in _hamiltonian_paths(g._adj):
-        yield tuple(v + 1 for v in path)
-
-
-def has_hamiltonian_path(g: Graph) -> tuple[int, ...] | None:
-    """First Hamiltonian path in deterministic search order, or None."""
-    for path in iter_hamiltonian_paths(g):
-        return path
-    return None

@@ -4,7 +4,7 @@ small-graph enumeration.
 One color refinement splits the vertices into classes.  ``refined_form``
 relabels class by class (by old label inside a class): one refinement,
 sound (equal forms mean isomorphic graphs) but not complete, which is
-enough for the hereditary memo keys in :mod:`fsgraph.theorems`.
+enough for the memo keys of the fiber induction in :mod:`fsgraph.theorems`.
 ``canonical_form`` takes the minimum over every class-respecting
 relabeling: exact, but a product of class-size factorials (n! on
 vertex-transitive graphs), so it refuses past ``CANONICAL_ORDER_CAP``;

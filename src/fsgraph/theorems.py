@@ -15,28 +15,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .config import (
     DEFAULT_CONFIG,
     DEFAULT_EXTENSION_VERTEX_CAP,
-    DEFAULT_HEREDITARY_BASE,
-    DEFAULT_HEREDITARY_LABELINGS,
-    DEFAULT_HEREDITARY_NODE_BUDGET,
+    DEFAULT_FIBER_BASE,
+    DEFAULT_FIBER_WORK_BUDGET,
     DEFAULT_LISTING_CAP,
     RunConfig,
 )
 from .errors import InvalidArgumentError
 from .fscore import FSInstance, is_connected
-from .graphs import (
-    Graph,
-    _component_masks,
-    _drop_vertex,
-    _hamiltonian_paths,
-    has_hamiltonian_path,
-    structure_report,
-)
+from .graphs import Graph, _component_masks, _drop_vertex, structure_report
 from .iso import (
     is_cycle_graph,
     is_dynkin_graph,
@@ -56,22 +48,19 @@ __all__ = [
     "CycleStructure",
     "StarStructure",
     "CutPathCertificate",
-    "HereditaryResult",
     "tutte_eval",
     "path_fs_structure",
     "cycle_fs_structure",
     "star_fs_structure",
     "cut_path_certificate",
     "decide_connectivity",
-    "hereditary_sufficiency",
 ]
 
 
 # -- path case -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathStructure:
+class PathStructure(NamedTuple):
     component_count: int
     # One entry per acyclic orientation of the complement: the orientation
     # together with the set of permutations forming that component.
@@ -119,8 +108,7 @@ def _listing_error(n: int, config: RunConfig) -> str | None:
 # -- cycle case ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(NamedTuple):
     component_count: int
     nu: int
     toric_count: int
@@ -173,8 +161,7 @@ def cycle_fs_structure(
 # -- star case -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StarStructure:
+class StarStructure(NamedTuple):
     component_count: int
     # None when the classification fixes only the count, or when there are
     # more than DEFAULT_LISTING_CAP components (a cycle partner on n >= 10).
@@ -212,8 +199,7 @@ def star_fs_structure(y: Graph) -> StarStructure | None:
 # -- disconnection certificates --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CutPathCertificate:
+class CutPathCertificate(NamedTuple):
     d: int
     path: tuple[int, ...] | None
 
@@ -371,8 +357,7 @@ def _count_margin_matrices(rows: tuple[int, ...], cols: tuple[int, ...], memo: d
 # -- connectivity decision -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConnectivityVerdict:
+class ConnectivityVerdict(NamedTuple):
     status: str                    # "connected" | "disconnected" | "unknown"
     theorem: str | None = None
     witness: dict | None = None
@@ -433,19 +418,32 @@ def decide_connectivity(
 
     Certificate order is fixed: tiny cases, exact families on either side,
     disconnection certificates (disconnected factor, double bipartite, cut
-    path + low degree, cut vertices on both sides), then the hereditary
-    sufficiency recursion on each side whose X has a Hamiltonian path.
-    A side is skipped unless its partner has minimum degree at least
-    n - DEFAULT_HEREDITARY_BASE + 1, without which the recursion cannot
-    succeed (see :func:`_hereditary_can_prove`).
+    path + low degree, cut vertices on both sides), then the fiber
+    induction of :func:`_fiber_induction`.  The induction runs only when
+    one side has minimum degree at least n - 4: a cost policy, not a
+    soundness condition, as the induction is sound on any pair.  Its
+    brute-force base cases honour ``config.state_cap``.
 
-    The star rule, the disconnection certificates and the minimum-degree
-    gate of the hereditary rung read each graph's structure report
-    (components, two-colouring, cut vertices and degrees), which the
-    first of them builds and the graph keeps.
+    The star rule, the disconnection certificates and the reach test of
+    the induction read each graph's structure report (components,
+    two-colouring, cut vertices and degrees), which the first of them
+    builds and the graph keeps.
     """
     if x.n != y.n:
         raise InvalidArgumentError("X and Y must have the same number of vertices")
+    verdict = _certificate_chain(x, y)
+    if verdict.status != "unknown":
+        return verdict
+    reach = max(structure_report(x).min_degree, structure_report(y).min_degree)
+    witness = _fiber_induction(x, y, config) if reach >= x.n - 4 else None
+    if witness is None:
+        return verdict
+    return ConnectivityVerdict("connected", "fiber-induction", witness)
+
+
+def _certificate_chain(x: Graph, y: Graph) -> ConnectivityVerdict:
+    """The certificates of :func:`decide_connectivity` that need no search,
+    in its order; "unknown" when none fires."""
     n = x.n
     if n == 1:
         return ConnectivityVerdict("connected", "tiny", {"n": 1})
@@ -482,170 +480,102 @@ def decide_connectivity(
     witness = cut_vertex_disconnection(x, y)
     if witness is not None:
         return ConnectivityVerdict("disconnected", "cut-vertex-margins", witness)
-
-    for a, b, rb, side in ((x, y, ry, "x"), (y, x, rx, "y")):
-        if not _hereditary_can_prove(n, rb.min_degree) or has_hamiltonian_path(a) is None:
-            continue
-        result = hereditary_sufficiency(a, b, config=config)
-        if result.proven_connected:
-            return ConnectivityVerdict(
-                "connected",
-                "hereditary-extension",
-                {"side": side, "trace": list(result.trace)},
-            )
-
     return ConnectivityVerdict("unknown")
 
 
-def _hereditary_can_prove(n: int, min_degree: int) -> bool:
-    """Necessary condition for hereditary_sufficiency(x, y) to prove FS(X, Y)
-    connected, given the vertex count n and the minimum degree of y:
-    min degree of y >= n - base + 1.
+# -- fiber induction --------------------------------------------------------------
 
-    Write base = DEFAULT_HEREDITARY_BASE (at least 2) and m for the size of
-    a pair (xa, ya) inside the recursion.
 
-    - When m > base, ``prove(xa, ya)`` returns True only if ``ya`` is
-      connected and every one-vertex deletion of ``ya`` is proven at size
-      m - 1.
-    - At a base size m >= 2, a connected FS(X', Y') forces Y' to be
-      connected.
-    - Memo hits reuse results for pairs with equal refined forms.  Those
-      pairs are isomorphic, so the property carries over.
-    - By induction, Y - S is connected for every S with |S| <= n - base.
-    - Deleting the neighbours of a vertex of degree <= n - base leaves that
-      vertex isolated among >= base vertices.  So min degree
-      >= n - base + 1 is necessary.
+def _fiber_induction(x: Graph, y: Graph, config: RunConfig = DEFAULT_CONFIG) -> dict | None:
+    """Witness {"side", "vertex", "fibers", "work"} that FS(X, Y) is
+    connected, or None when the induction proves nothing.
+
+    Fix a vertex v with a neighbour u in X.  The states with sigma(v) = w
+    form a fiber isomorphic to FS(X - v, Y - w), and for each Y-edge ww'
+    some state has sigma(v) = w and sigma(u) = w', whose swap joins the two
+    fibers.  So FS(X, Y) is connected when Y is connected and every fiber
+    is, and since FS(X, Y) is isomorphic to FS(Y, X) a vertex may be
+    peeled from either side.
+
+    A pair is settled by the certificate chain, else by brute force at
+    DEFAULT_FIBER_BASE vertices or fewer, else by peeling each non-cut,
+    non-isolated vertex, X's side first, then Y's, in ascending order,
+    skipping peeled graphs whose refined forms repeat; a peel succeeds
+    when every distinct fiber is proven.  One memo, keyed by the
+    unordered pair of refined forms (equal forms mean isomorphic graphs),
+    serves the whole call.  The recursion runs on adjacency-mask tuples.
+
+    Work counts brute-force states (n! per base case), n per chain call
+    on n vertices and n**3 // 16 per refined form on n vertices: up to n
+    refinement rounds over up to n**2 / 2 edges, where 8 edge visits take
+    about as long as one state searched.  Once the work reaches
+    DEFAULT_FIBER_WORK_BUDGET nothing more is proven; it passes the budget
+    by at most one form, chain call or base case.  The witness names the top peel (side and
+    vertex None when the chain or the brute force settled the pair
+    itself), its number of distinct fibers, and the work spent.
     """
-    return min_degree > n - DEFAULT_HEREDITARY_BASE
-
-
-# -- hereditary recursion ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HereditaryResult:
-    proven_connected: bool
-    trace: tuple[str, ...]
-
-
-class _OutOfNodes(Exception):
-    """The hereditary recursion used up its node budget."""
-
-
-def hereditary_sufficiency(
-    x: Graph, y: Graph, config: RunConfig = DEFAULT_CONFIG
-) -> HereditaryResult:
-    """Prove FS(X, Y) connected by peeling Hamiltonian-path endpoints.
-
-    A relabeling of X along one of its Hamiltonian paths certifies
-    connectivity provided Y is connected and deleting any single vertex of
-    Y leaves an instance that recurses successfully on (X minus the path's
-    last vertex); at DEFAULT_HEREDITARY_BASE vertices the recursion bottoms
-    out in a brute-force search.  Failure to certify proves nothing.
-
-    The recursion runs on 0-indexed adjacency-mask tuples, not on
-    :class:`Graph` objects.  Three caches local to one call derive each
-    graph's refined form, each Y's one-vertex deletions and each X's
-    deduplicated path minors (X relabeled along one of its first
-    DEFAULT_HEREDITARY_LABELINGS Hamiltonian paths, minus the last vertex)
-    once.
-
-    At most DEFAULT_HEREDITARY_NODE_BUDGET pairs are expanded (a base case,
-    a disconnected partner or a memo hit is not an expansion).  When the
-    budget runs out the result is "not proven", and the trace ends by
-    saying so.
-    """
-    if x.n != y.n:
-        raise InvalidArgumentError("X and Y must have the same number of vertices")
-    if has_hamiltonian_path(x) is None:
-        raise InvalidArgumentError("the recursion needs X to have a Hamiltonian path")
-    # Sound: FS(X, Y) connectivity depends only on the classes of X and Y.
     memo: dict = {}
-    trace: list[str] = []
-    expansions = 0
+    work = 0
+    graphs = {x._adj: x, y._adj: y}   # so that X and Y keep their reports
+
+    def graph(adj: tuple[int, ...]) -> Graph:
+        if adj not in graphs:
+            graphs[adj] = Graph._from_masks(adj)
+        return graphs[adj]
 
     @lru_cache(maxsize=None)
     def form(adj: tuple[int, ...]):
-        return refined_form(Graph._from_masks(adj))
+        nonlocal work
+        work += len(adj) ** 3 // 16
+        return refined_form(graph(adj))
 
-    @lru_cache(maxsize=None)
-    def deletions(adj: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        return tuple(_drop_vertex(adj, v) for v in range(len(adj)))
+    def settle(xa: tuple[int, ...], ya: tuple[int, ...]) -> bool:
+        fx, fy = form(xa), form(ya)
+        key = (fx, fy) if fx <= fy else (fy, fx)
+        if key not in memo:
+            memo[key] = prove(xa, ya) is not None
+        return memo[key]
 
-    @lru_cache(maxsize=None)
-    def candidates(adj: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(labeling number, path minor) per path, the first of each form."""
-        tried: set = set()
-        found = []
-        paths = zip(range(1, DEFAULT_HEREDITARY_LABELINGS + 1), _hamiltonian_paths(adj))
-        for labelings, path in paths:
-            sub = _path_minor(adj, path)
-            sub_form = form(sub)
-            if sub_form not in tried:
-                tried.add(sub_form)
-                found.append((labelings, sub))
-        return tuple(found)
-
-    def prove(xa: tuple[int, ...], ya: tuple[int, ...]) -> bool:
-        nonlocal expansions
+    def prove(xa: tuple[int, ...], ya: tuple[int, ...]) -> tuple | None:
+        """(side, vertex, fibers) of a proof that FS(xa, ya) is connected."""
+        nonlocal work
+        if work >= DEFAULT_FIBER_WORK_BUDGET:
+            return None
         n = len(xa)
-        if n <= DEFAULT_HEREDITARY_BASE:
-            key = (form(xa), form(ya))
-            ok = memo.get(key)
-            if ok is None:
-                inst = FSInstance(Graph._from_masks(xa), Graph._from_masks(ya))
-                ok = memo[key] = is_connected(inst, config)
-            if len(trace) < 200:
-                trace.append(f"base n={n}: brute force says {'connected' if ok else 'disconnected'}")
-            return ok
-        if len(_component_masks(ya, (1 << n) - 1)) != 1:
-            if len(trace) < 200:
-                trace.append(f"n={n}: partner graph disconnected, branch fails")
-            return False
-        key = (form(xa), form(ya))
-        if key in memo:
-            return memo[key]
-        if expansions == DEFAULT_HEREDITARY_NODE_BUDGET:
-            raise _OutOfNodes
-        expansions += 1
-        memo[key] = False
-        ok = False
-        for labelings, sub in candidates(xa):
-            if all(prove(sub, yd) for yd in deletions(ya)):
-                ok = True
-                if len(trace) < 200:
-                    trace.append(f"n={n}: certified via Hamiltonian relabeling #{labelings}")
-                break
-        if not ok and len(trace) < 200:
-            trace.append(f"n={n}: no Hamiltonian relabeling certified the instance")
-        memo[key] = ok
-        return ok
+        work += n
+        status = _certificate_chain(graph(xa), graph(ya)).status
+        if status == "unknown" and n <= DEFAULT_FIBER_BASE:
+            work += math.factorial(n)
+            connected = is_connected(FSInstance(graph(xa), graph(ya)), config)
+            status = "connected" if connected else "disconnected"
+        if status != "unknown":
+            return (None, None, 0) if status == "connected" else None
+        # The chain has ruled out a disconnected X or Y here.
+        for side, a, b in (("x", xa, ya), ("y", ya, xa)):
+            cut = structure_report(graph(a)).cut_vertices
+            peeled = set()
+            for v in range(n):
+                if work >= DEFAULT_FIBER_WORK_BUDGET:
+                    return None
+                if v + 1 in cut or not a[v]:
+                    continue
+                sub = _drop_vertex(a, v)
+                if form(sub) in peeled:
+                    continue
+                peeled.add(form(sub))
+                # The budget may cut the fibers short; then they prove nothing.
+                fibers = {
+                    form(bw): bw
+                    for bw in (_drop_vertex(b, w) for w in range(n))
+                    if work < DEFAULT_FIBER_WORK_BUDGET
+                }
+                if work < DEFAULT_FIBER_WORK_BUDGET and all(
+                    settle(sub, bw) for bw in fibers.values()
+                ):
+                    return side, v + 1, len(fibers)
+        return None
 
-    try:
-        proven = prove(x._adj, y._adj)
-    except _OutOfNodes:
-        proven = False
-        trace.append(
-            f"node budget of {DEFAULT_HEREDITARY_NODE_BUDGET} expansions ran out: not proven"
-        )
-    return HereditaryResult(proven, tuple(trace))
-
-
-def _path_minor(adj: tuple[int, ...], path: tuple[int, ...]) -> tuple[int, ...]:
-    """Masks of the graph relabeled so that path[i] becomes vertex i, minus
-    the path's last vertex."""
-    position = [0] * len(path)
-    for i, v in enumerate(path):
-        position[v] = i
-    keep = ~(1 << path[-1])
-    rows = []
-    for v in path[:-1]:
-        nbrs = adj[v] & keep
-        row = 0
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            row |= 1 << position[low.bit_length() - 1]
-        rows.append(row)
-    return tuple(rows)
+    top = prove(x._adj, y._adj)
+    if top is None:
+        return None
+    return {"side": top[0], "vertex": top[1], "fibers": top[2], "work": work}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from fsgraph import Graph, Permutation
@@ -55,3 +56,12 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
         g = random_graph(rng, n, p)
         if structure_report(g).is_connected:
             return g
+
+
+def has_hamiltonian_path(g: Graph) -> bool:
+    """Whether some vertex order walks along edges of g; a brute-force
+    filter that keeps the seeded pair streams of the connectivity tests."""
+    return any(
+        all(map(g.has_edge, order, order[1:]))
+        for order in itertools.permutations(range(1, g.n + 1))
+    )

@@ -17,7 +17,12 @@ from collections import deque
 import pytest
 
 from claims import checked_phi, class_extensions, decomposition_check, margin_count, toggle
-from conftest import FROZEN_CYCLE5_COMPONENT, SPIDER_COMPLEMENT_5, random_graph
+from conftest import (
+    FROZEN_CYCLE5_COMPONENT,
+    SPIDER_COMPLEMENT_5,
+    has_hamiltonian_path,
+    random_graph,
+)
 from fsgraph import (
     FSInstance,
     Graph,
@@ -28,7 +33,6 @@ from fsgraph import (
     cycle_fs_structure,
     decide_connectivity,
     enumerate_acyclic,
-    hereditary_sufficiency,
     is_connected,
     linear_extensions,
     orientation_from_permutation,
@@ -38,9 +42,9 @@ from fsgraph import (
     structure_report,
     tutte_eval,
 )
-from fsgraph.graphs import has_hamiltonian_path
 from fsgraph.iso import enumerate_nonisomorphic, is_cycle_graph
 from fsgraph.theorems import (
+    _fiber_induction,
     bipartite_disconnection,
     cut_path_disconnection,
     cut_vertex_disconnection,
@@ -328,7 +332,7 @@ def test_acceptance_toggle_transitivity():
     _verdict("toggle moves span every extension set", body)
 
 
-# -- 10: hereditary recursion -----------------------------------------------------------------------
+# -- 10: fiber induction --------------------------------------------------------------------------
 
 
 def test_acceptance_hereditary_recursion():
@@ -341,24 +345,26 @@ def test_acceptance_hereditary_recursion():
                 )
                 y = complement.complement()
                 assert structure_report(y).min_degree >= n - 2
-                assert hereditary_sufficiency(x, y).proven_connected, (n, missing_edges)
+                assert _fiber_induction(x, y) is not None, (n, missing_edges)
         rng = random.Random(1010)
         done = 0
         proven = 0
         while done < 500:
             n = rng.randint(4, 7)
             x = random_graph(rng, n, rng.choice([0.4, 0.55, 0.7]))
-            if has_hamiltonian_path(x) is None:
+            if not has_hamiltonian_path(x):
                 continue
             y = random_graph(rng, n, rng.choice([0.4, 0.55, 0.7]))
             done += 1
-            if hereditary_sufficiency(x, y).proven_connected:
+            if _fiber_induction(x, y) is not None:
                 proven += 1
                 assert is_connected(FSInstance(x, y)), (x.edges, y.edges)
-        assert proven > 0
+        # Peeling only Hamiltonian-path ends of X, down to a 5-vertex base,
+        # proves 160 of these pairs; the fiber induction subsumes that.
+        assert proven >= 160
         return f"rich partners proven at n=6,7; fuzz 500 instances, {proven} proofs all confirmed"
 
-    _verdict("hereditary recursion proves and never overclaims", body)
+    _verdict("fiber induction proves and never overclaims", body)
 
 
 # -- 11: component-count identity for split positions ------------------------------------------------

@@ -348,7 +348,7 @@ def test_state_cap_flag(capsys):
     small_inputs = (
         ("fs", "components", "--x", "family:star:4", "--y", "family:cycle:4"),
         ("fs", "connected", "--x", "family:path:3", "--y", "family:path:3"),
-        # K_4 / K_4 reaches the hereditary rung, whose n <= 5 base case searches.
+        # K_4 / K_4 reaches the fiber induction, whose n <= 6 base case searches.
         ("decide", "--x", "family:complete:4", "--y", "family:complete:4"),
         ("oracle-sweep", "--max-n", "3"),
     )

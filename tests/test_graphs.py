@@ -14,11 +14,10 @@ from fsgraph import (
     build_named,
     delete_vertex,
     disjoint_union,
-    has_hamiltonian_path,
     induced_subgraph,
     structure_report,
 )
-from fsgraph.graphs import NAMED_FAMILIES, _drop_vertex, _hamiltonian_paths, iter_hamiltonian_paths
+from fsgraph.graphs import NAMED_FAMILIES, _drop_vertex
 
 
 def graph_strategy(max_n=8):
@@ -511,47 +510,3 @@ def test_structure_report_is_fast_on_long_sparse_graphs(family, params, cuts):
     assert len(r.components) == (3000 if family == "edgeless" else 1)
     assert len(r.cut_vertices) == cuts
 
-
-# -- Hamiltonian paths --------------------------------------------------------------
-
-
-def brute_hamiltonian(g: Graph):
-    for order in itertools.permutations(range(1, g.n + 1)):
-        if all(g.has_edge(order[i], order[i + 1]) for i in range(g.n - 1)):
-            return order
-    return None
-
-
-def test_hamiltonian_examples():
-    assert has_hamiltonian_path(build_named("lollipop", k=3, m=3)) is not None
-    assert has_hamiltonian_path(build_named("star", 4)) is None
-    assert has_hamiltonian_path(Graph(1)) == (1,)
-
-
-def test_hamiltonian_agrees_with_brute_force():
-    rng = random.Random(23)
-    for _ in range(40):
-        n = rng.randint(1, 8)
-        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
-        found = has_hamiltonian_path(g)
-        brute = brute_hamiltonian(g)
-        assert (found is None) == (brute is None)
-        if found is not None:
-            assert all(g.has_edge(found[i], found[i + 1]) for i in range(n - 1))
-            assert sorted(found) == list(range(1, n + 1))
-
-
-def test_mask_paths_match_iter_hamiltonian_paths():
-    rng = random.Random(43)
-    for _ in range(60):
-        n = rng.randint(1, 9)
-        g = _shuffled_random_graph(rng, n)
-        shifted = [tuple(v + 1 for v in path) for path in _hamiltonian_paths(g._adj)]
-        assert shifted == list(iter_hamiltonian_paths(g))
-        if n <= 7:
-            brute = [
-                order
-                for order in itertools.permutations(range(1, n + 1))
-                if all(g.has_edge(order[i], order[i + 1]) for i in range(n - 1))
-            ]
-            assert shifted == brute

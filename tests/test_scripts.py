@@ -58,7 +58,7 @@ def test_cli_digest_does_not_depend_on_the_hash_seed():
         outputs.append(done.stdout)
     # The pin changes only on purpose, with any change to CLI stdout or exit codes.
     assert outputs[0] == (
-        "5282 calls sha256 38c4bf37c2b51947f7bbac008ac6d31031da91e1e41c15d676ed86ddb6eb2fa0\n"
+        "5282 calls sha256 254d91e1e0f850a5cef62e3ff5cf5b4a00b8c6fdcdb904c52f7d12c9f5b54e4c\n"
     )
     assert outputs[0] == outputs[1]
 

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import time
-from functools import lru_cache
 
 import pytest
 
@@ -10,6 +9,7 @@ from claims import class_extensions, reference_cut_path
 from conftest import (
     SPIDER_COMPLEMENT_5,
     SPIDER_TREE_5,
+    has_hamiltonian_path,
     random_connected_graph,
     random_graph,
 )
@@ -24,23 +24,15 @@ from fsgraph import (
     cycle_fs_structure,
     decide_connectivity,
     disjoint_union,
-    hereditary_sufficiency,
     is_connected,
     path_fs_structure,
     star_fs_structure,
     structure_report,
 )
-from fsgraph.config import DEFAULT_CONFIG, DEFAULT_HEREDITARY_BASE, DEFAULT_HEREDITARY_LABELINGS
-from fsgraph.graphs import (
-    delete_vertex,
-    has_hamiltonian_path,
-    induced_subgraph,
-    iter_hamiltonian_paths,
-)
-from fsgraph.iso import enumerate_nonisomorphic, refined_form
+from fsgraph.iso import enumerate_nonisomorphic
 from fsgraph.orientations import enumerate_acyclic, linear_extensions, partition_by_moves
 from fsgraph import graphs, theorems
-from fsgraph.theorems import HereditaryResult, _path_minor
+from fsgraph.theorems import _fiber_induction
 
 # A 5-vertex graph with a Hamiltonian path for which FS(X, Y) is connected
 # whenever Y has minimum degree >= 2; found by exhaustive search over all
@@ -328,23 +320,41 @@ def test_decide_tiny_cases():
 
 
 def test_decide_unknown_instances_exist():
+    # No certificate splits this pair, and the fiber induction cannot prove
+    # a disconnected FS(X, Y).
+    x = Graph(6, [(1, 4), (2, 5), (3, 6), (4, 6), (5, 6)])
+    y = Graph(6, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
+    assert decide_connectivity(x, y).status == "unknown"
+    assert not is_connected(FSInstance(x, y))
+    # A connected pair that no certificate covers is settled by the brute
+    # force of the fiber induction's 6-vertex base.
     x = Graph(6, [(1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (3, 4), (3, 5), (3, 6), (5, 6)])
     y = Graph(6, [(1, 4), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (4, 5)])
-    assert decide_connectivity(x, y).status == "unknown"
+    assert decide_connectivity(x, y).theorem == "fiber-induction"
+    assert is_connected(FSInstance(x, y))
 
 
 def test_decide_abstains_on_uncharacterized_lollipop_band():
     # A 5-clique tail with a partner of minimum degree exactly n-4 sits in
     # the band no certificate covers; the decision must stay honest.
     x = build_named("lollipop", k=3, m=5)
+    missing = Graph(8, [(1, 2), (1, 4), (1, 6), (2, 3), (2, 6), (3, 4), (4, 6), (7, 8)])
+    y = missing.complement()
+    assert structure_report(y).min_degree == 4
+    assert decide_connectivity(x, y).status == "unknown"
+    assert not is_connected(FSInstance(x, y))
+    # The cube's complement has the same minimum degree but a connected
+    # FS(X, Y), and the cube is vertex-transitive, so peeling the path end
+    # of X leaves one fiber up to isomorphism.
     cube = Graph(
         8,
         [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (7, 8), (8, 5),
          (1, 5), (2, 6), (3, 7), (4, 8)],
     )
-    y = cube.complement()
-    assert structure_report(y).min_degree == 4
-    assert decide_connectivity(x, y).status == "unknown"
+    verdict = decide_connectivity(x, cube.complement())
+    assert (verdict.status, verdict.theorem) == ("connected", "fiber-induction")
+    assert verdict.witness["fibers"] == 1
+    assert is_connected(FSInstance(x, cube.complement()))
 
 
 def test_star_plus_edge_connects_bipartite_partners():
@@ -455,7 +465,9 @@ def test_decide_never_contradicts_brute_force_n7_fuzz():
     assert definite > 0
 
 
-# -- hereditary recursion ----------------------------------------------------------------------
+# -- fiber induction ---------------------------------------------------------------------------
+# The induction descends to induced subgraphs of both sides: a hereditary
+# sufficient condition, as the test names say.
 
 
 def test_hereditary_proves_lollipop_rich_partner():
@@ -463,9 +475,9 @@ def test_hereditary_proves_lollipop_rich_partner():
         x = build_named("lollipop", k=n - 3, m=3)
         y = build_named("path", 2).complement() if n == 2 else _matching_complement(n, 1)
         assert structure_report(y).min_degree >= n - 2
-        result = hereditary_sufficiency(x, y)
-        assert result.proven_connected
-        assert result.trace
+        witness = _fiber_induction(x, y)
+        assert witness is not None
+        assert set(witness) == {"side", "vertex", "fibers", "work"}
 
 
 def _matching_complement(n: int, edges: int) -> Graph:
@@ -476,12 +488,7 @@ def _matching_complement(n: int, edges: int) -> Graph:
 def test_hereditary_fails_on_disconnected_partner():
     x = build_named("lollipop", k=3, m=3)
     y = disjoint_union(build_named("complete", 3), build_named("complete", 3))
-    assert not hereditary_sufficiency(x, y).proven_connected
-
-
-def test_hereditary_requires_hamiltonian_path():
-    with pytest.raises(InvalidArgumentError):
-        hereditary_sufficiency(build_named("star", 5), build_named("complete", 5))
+    assert _fiber_induction(x, y) is None
 
 
 def test_hereditary_proves_prolongations_of_searched_base():
@@ -493,91 +500,71 @@ def test_hereditary_proves_prolongations_of_searched_base():
         x = Graph(n, edges)
         y = build_named("path", n).complement()   # complement max degree 2
         assert structure_report(y).min_degree == n - 3
-        assert hereditary_sufficiency(x, y).proven_connected
+        assert _fiber_induction(x, y) is not None
+        assert decide_connectivity(x, y).theorem == "fiber-induction"
         assert is_connected(FSInstance(x, y))
 
 
 def test_hereditary_never_proves_disconnected_instances_fuzz():
     rng = random.Random(9)
-    checked = 0
+    checked = proven = 0
     while checked < 40:
         n = rng.randint(3, 6)
         x = random_connected_graph(rng, n, 0.5)
-        if x.edge_count < n - 1:
-            continue
-        from fsgraph import has_hamiltonian_path
-
-        if has_hamiltonian_path(x) is None:
+        if x.edge_count < n - 1 or not has_hamiltonian_path(x):
             continue
         y = random_graph(rng, n, rng.choice([0.4, 0.6]))
         checked += 1
-        result = hereditary_sufficiency(x, y)
-        if result.proven_connected:
+        if _fiber_induction(x, y) is not None:
+            proven += 1
             assert is_connected(FSInstance(x, y))
+    # Peeling only Hamiltonian-path ends of X, down to a 5-vertex base,
+    # proves 6 of these pairs; the fiber induction subsumes that.
+    assert proven >= 6
 
 
-def _gate_allows(b):
-    """Whether the hereditary gate of decide_connectivity lets partner b through."""
-    return theorems._hereditary_can_prove(b.n, min(b.degrees()))
-
-
-def _gate_declined_pairs():
-    """(a, b) with a Hamiltonian path in a and a partner b that the
-    hereditary gate of decide_connectivity declines: every pair of
-    isomorphism classes at n = 6, then seeded pairs at n = 7 and 8."""
-    classes = enumerate_nonisomorphic(6)
-    declined = [b for b in classes if not _gate_allows(b)]
-    for a in classes:
-        if has_hamiltonian_path(a) is not None:
-            for b in declined:
-                yield a, b
-    rng = random.Random(71)
-    densities = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+def test_fiber_induction_connected_agrees_with_brute_force():
+    # The rung is called directly, without the min-degree reach test of
+    # decide.  Up to its brute-force base it is exact; past it, every
+    # "connected" must be confirmed by the oracle.
+    pairs = [
+        (x, y)
+        for n in range(1, 6)
+        for x in enumerate_nonisomorphic(n)
+        for y in enumerate_nonisomorphic(n)
+    ]
+    assert len(pairs) == 1 + 4 + 16 + 121 + 1156
+    for x, y in pairs:
+        assert (_fiber_induction(x, y) is not None) == is_connected(FSInstance(x, y)), (x, y)
+    rng = random.Random(74)
+    proven = connected = 0
     for n in (7, 8):
-        found = 0
-        while found < 30:
-            a = random_graph(rng, n, rng.choice(densities))
-            b = random_graph(rng, n, rng.choice(densities))
-            if has_hamiltonian_path(a) is None or _gate_allows(b):
-                continue
-            found += 1
-            yield a, b
-
-
-def test_hereditary_gate_declines_only_unprovable_partners(monkeypatch):
-    # The recursion is deterministic, so decide reuses one result per pair.
-    results = {}
-
-    def hereditary(a, b, config=DEFAULT_CONFIG):
-        if (a, b, config) not in results:
-            results[a, b, config] = hereditary_sufficiency(a, b, config=config)
-        return results[a, b, config]
-
-    monkeypatch.setattr(theorems, "hereditary_sufficiency", hereditary)
-    pairs = list(_gate_declined_pairs())
-    for a, b in pairs:
-        assert not hereditary(a, b).proven_connected, (a, b)
-    assert len(pairs) == 8554 + 60
-    gated = [decide_connectivity(a, b) for a, b in pairs]
-    monkeypatch.setattr(theorems, "_hereditary_can_prove", lambda n, min_degree: True)
-    assert [decide_connectivity(a, b) for a, b in pairs] == gated
+        for _ in range(30):
+            x = random_graph(rng, n, rng.choice([0.5, 0.6, 0.7, 0.8]))
+            y = random_graph(rng, n, rng.choice([0.5, 0.6, 0.7, 0.8]))
+            witness = _fiber_induction(x, y)
+            truth = is_connected(FSInstance(x, y))
+            connected += truth
+            if witness is not None:
+                proven += 1
+                assert truth, (x, y, witness)
+    assert 0 < proven <= connected
 
 
 def test_hereditary_gives_up_when_its_node_budget_runs_out(monkeypatch):
-    x = build_named("lollipop", k=4, m=3)
-    y = _matching_complement(7, 1)
-    assert hereditary_sufficiency(x, y).proven_connected
-    monkeypatch.setattr(theorems, "DEFAULT_HEREDITARY_NODE_BUDGET", 1)
-    result = hereditary_sufficiency(x, y)
-    assert not result.proven_connected
-    assert result.trace[-1] == "node budget of 1 expansions ran out: not proven"
-    assert decide_connectivity(x, y).status == "connected"   # the lollipop rung fires first
+    x = Graph(7, list(HEREDITARY_BASE_5.edges) + [(5, 6), (6, 7)])
+    y = build_named("path", 7).complement()
+    witness = _fiber_induction(x, y)
+    assert witness is not None and witness["side"] is not None
+    monkeypatch.setattr(theorems, "DEFAULT_FIBER_WORK_BUDGET", 100)
+    assert _fiber_induction(x, y) is None
+    assert decide_connectivity(x, y).status == "unknown"
 
 
 def _dense_partner_pair(n: int, seed: int) -> tuple[Graph, Graph]:
     """X: a Hamiltonian cycle plus G(n, 0.2) chords.  Y: the complement of
     the 3-regular circulant joining i to i +- 1 and i + n/2 (n even), so
-    min degree n - 4 lets the hereditary rung run."""
+    min degree n - 4 lets the fiber induction run."""
     rng = random.Random(seed)
     cycle = {(i, i + 1) for i in range(1, n)} | {(1, n)}
     chords = [
@@ -591,95 +578,15 @@ def _dense_partner_pair(n: int, seed: int) -> tuple[Graph, Graph]:
 
 
 def test_decide_answers_dense_partners_within_the_node_budget():
-    x, y = _dense_partner_pair(30, 30)
-    assert min(y.degrees()) == 26 and _gate_allows(y)
-    start = time.perf_counter()
-    verdict = decide_connectivity(x, y)
-    assert time.perf_counter() - start < 5
-    assert verdict.status == "unknown"
-    result = hereditary_sufficiency(x, y)
-    assert not result.proven_connected and "budget" in result.trace[-1]
-
-
-def _reference_hereditary(x, y):
-    """The recursion on Graph objects, kept as the reference that the
-    mask-level implementation must match trace for trace."""
-    memo: dict = {}
-    trace: list[str] = []
-    form = lru_cache(maxsize=None)(refined_form)
-
-    def prove(xg, yg):
-        n = xg.n
-        if n <= DEFAULT_HEREDITARY_BASE:
-            key = (form(xg), form(yg))
-            ok = memo.get(key)
-            if ok is None:
-                ok = memo[key] = is_connected(FSInstance(xg, yg))
-            if len(trace) < 200:
-                trace.append(f"base n={n}: brute force says {'connected' if ok else 'disconnected'}")
-            return ok
-        if not structure_report(yg).is_connected:
-            if len(trace) < 200:
-                trace.append(f"n={n}: partner graph disconnected, branch fails")
-            return False
-        key = (form(xg), form(yg))
-        if key in memo:
-            return memo[key]
-        memo[key] = False
-        ok = False
-        tried: set = set()
-        labelings = 0
-        for path in iter_hamiltonian_paths(xg):
-            labelings += 1
-            if labelings > DEFAULT_HEREDITARY_LABELINGS:
-                break
-            relabel = {v: i for i, v in enumerate(path, start=1)}
-            xr = xg.relabel(relabel)
-            x_sub, _ = induced_subgraph(xr, range(1, n))
-            sub_form = form(x_sub)
-            if sub_form in tried:
-                continue
-            tried.add(sub_form)
-            if all(prove(x_sub, delete_vertex(yg, v)[0]) for v in range(1, n + 1)):
-                ok = True
-                if len(trace) < 200:
-                    trace.append(f"n={n}: certified via Hamiltonian relabeling #{labelings}")
-                break
-        if not ok and len(trace) < 200:
-            trace.append(f"n={n}: no Hamiltonian relabeling certified the instance")
-        memo[key] = ok
-        return ok
-
-    proven = prove(x, y)
-    return HereditaryResult(proven, tuple(trace))
-
-
-def test_hereditary_matches_graph_object_reference():
-    rng = random.Random(31)
-    pairs = proven = 0
-    while pairs < 300:
-        n = rng.randint(6, 8)
-        x = random_graph(rng, n, rng.choice([0.4, 0.55, 0.7]))
-        if has_hamiltonian_path(x) is None:
-            continue
-        y = random_graph(rng, n, rng.choice([0.4, 0.55, 0.7]))
-        got = hereditary_sufficiency(x, y)
-        assert got == _reference_hereditary(x, y), (x, y)
-        pairs += 1
-        proven += got.proven_connected
-    # Both verdicts occur, so the comparison covers certified and failed branches.
-    assert 0 < proven < pairs
-
-
-def test_path_minor_matches_relabel_then_delete():
-    rng = random.Random(32)
-    for _ in range(80):
-        n = rng.randint(2, 9)
-        g = random_graph(rng, n, rng.choice([0.4, 0.6, 0.8]))
-        labels = list(range(1, n + 1))
-        rng.shuffle(labels)
-        g = g.relabel(dict(zip(range(1, n + 1), labels)))
-        for path in itertools.islice(iter_hamiltonian_paths(g), 60):
-            along = g.relabel({v: i for i, v in enumerate(path, start=1)})
-            want = induced_subgraph(along, range(1, n))[0]._adj
-            assert _path_minor(g._adj, tuple(v - 1 for v in path)) == want
+    # Past the oracle's state cap; at n = 30-50 the work budget must stop
+    # the induction quickly.
+    for n in (10, 12, 14):
+        verdict = decide_connectivity(*_dense_partner_pair(n, n))
+        assert (verdict.status, verdict.theorem) == ("connected", "fiber-induction"), n
+    for n in (30, 40, 50):
+        x, y = _dense_partner_pair(n, n)
+        assert min(y.degrees()) == n - 4
+        start = time.perf_counter()
+        verdict = decide_connectivity(x, y)
+        assert time.perf_counter() - start < 2, n
+        assert verdict.status in ("connected", "unknown")
