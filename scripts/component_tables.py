@@ -18,9 +18,7 @@ from fsgraph import (
     FSInstance,
     ResourceLimitError,
     build_named,
-    cycle_fs_structure,
-    path_fs_structure,
-    star_fs_structure,
+    family_component_count,
 )
 from fsgraph.fscore import component_count
 from fsgraph.iso import enumerate_nonisomorphic
@@ -48,16 +46,10 @@ def print_table(family: str, n: int) -> int:
     print(f"{'edges of Y':<44} {'brute':>6} {'theorem':>8}")
     mismatches = 0
     for y in partners:
+        fast = family_component_count(family, y)
+        if fast is None:
+            continue
         brute = component_count(FSInstance(x, y))
-        if family == "path":
-            fast = path_fs_structure(y).component_count
-        elif family == "cycle":
-            fast = cycle_fs_structure(y).component_count
-        else:
-            structure = star_fs_structure(y)
-            if structure is None:
-                continue
-            fast = structure.component_count
         flag = "" if fast == brute else "  <-- MISMATCH"
         if fast != brute:
             mismatches += 1

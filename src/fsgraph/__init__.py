@@ -44,10 +44,11 @@ from .theorems import (
     cut_path_certificate,
     cycle_fs_structure,
     decide_connectivity,
+    family_component_count,
     path_fs_structure,
     star_fs_structure,
-    tutte_eval,
 )
+from .tutte import tutte_eval
 
 __version__ = "0.1.0"
 
@@ -88,6 +89,7 @@ __all__ = [
     "path_fs_structure",
     "cycle_fs_structure",
     "star_fs_structure",
+    "family_component_count",
     "cut_path_certificate",
     "decide_connectivity",
     "__version__",

@@ -33,7 +33,7 @@ from .fscore import (
     is_connected,
 )
 from .graphio import parse_graph, to_dot
-from .graphs import NAMED_FAMILIES, Graph, build_named
+from .graphs import Graph, build_named
 from .iso import enumerate_nonisomorphic
 from .orientations import (
     PARTITION_KINDS,
@@ -46,26 +46,18 @@ from .orientations import (
 )
 from .perms import Permutation
 from .theorems import (
-    ConnectivityVerdict,
     cycle_fs_structure,
     decide_connectivity,
+    family_component_count,
     path_fs_structure,
     star_fs_structure,
-    tutte_eval,
 )
+from .tutte import tutte_eval
 
-# Parameters each family takes in a ``family:<name>:<p1>,<p2>`` spec.
-_FAMILY_PARAM_COUNT = {
-    "complete": 1,
-    "path": 1,
-    "cycle": 1,
-    "star": 1,
-    "edgeless": 1,
-    "dynkin_d": 1,
-    "lollipop": 2,
-    "complete_bipartite": 2,
-    "theta0": 0,
-}
+# The build_named keywords that the parameters of a
+# ``family:<name>:<p1>,<p2>`` spec fill, in order; any other family takes
+# n (theta0 has no parameter, or its fixed n = 7).
+_FAMILY_KEYWORDS = {"lollipop": ("k", "m"), "complete_bipartite": ("k", "n")}
 
 
 def read_graph(spec: str) -> Graph:
@@ -82,29 +74,18 @@ def read_graph(spec: str) -> Graph:
 
 
 def _family_graph(spec: str) -> Graph:
+    """The graph of a family spec; build_named checks the name and the
+    parameters."""
     parts = spec.split(":")
-    name = parts[1] if len(parts) > 1 else ""
-    if name not in NAMED_FAMILIES:
-        raise InvalidArgumentError(f"unknown family {name!r} in {spec!r}")
     raw_params = parts[2].split(",") if len(parts) > 2 and parts[2] else []
     try:
         params = [int(p) for p in raw_params]
     except ValueError as exc:
         raise InvalidArgumentError(f"non-integer family parameters in {spec!r}") from exc
-    want = _FAMILY_PARAM_COUNT[name]
-    if name == "theta0":
-        if params not in ([], [7]):
-            raise InvalidArgumentError("theta0 takes no parameters (or the fixed n=7)")
-        return build_named("theta0")
-    if len(params) != want:
-        raise InvalidArgumentError(
-            f"family {name} takes {want} parameter(s), got {len(params)} in {spec!r}"
-        )
-    if name == "lollipop":
-        return build_named("lollipop", k=params[0], m=params[1])
-    if name == "complete_bipartite":
-        return build_named("complete_bipartite", params[1], k=params[0])
-    return build_named(name, params[0])
+    keywords = _FAMILY_KEYWORDS.get(parts[1], ("n",))
+    if len(params) > len(keywords):
+        raise InvalidArgumentError(f"too many family parameters in {spec!r}")
+    return build_named(parts[1], **dict(zip(keywords, params)))
 
 
 def _render(payload) -> str:
@@ -151,10 +132,6 @@ def _partition_json(partition: OrientationPartition) -> dict:
     return data
 
 
-def _verdict_json(verdict: ConnectivityVerdict) -> dict:
-    return {"status": verdict.status, "theorem": verdict.theorem, "witness": verdict.witness}
-
-
 # -- handlers ------------------------------------------------------------------
 
 
@@ -190,47 +167,35 @@ def _capped_dot(g: Graph, name: str, config: RunConfig) -> str:
     return to_dot(g, name=name)
 
 
-def _cmd_path_structure(args, config: RunConfig):
+def _structure_payload(args, config: RunConfig, fs_structure, format_class):
+    """Output of `path structure` and `cycle structure`: the DOT text of
+    Y's complement, or the count fields of fs_structure(Y) and, under
+    --list, its classes through format_class or why they are withheld."""
     y = read_graph(args.y)
     if args.format == "dot":
         return _capped_dot(y.complement(), "complement", config)
-    result = path_fs_structure(y, include_classes=args.list, config=config)
-    payload: dict = {"component_count": result.component_count}
+    result = fs_structure(y, include_classes=args.list, config=config)
+    payload = result._asdict()
+    del payload["classes"], payload["listing_error"]
     if args.list:
         if result.classes is None:
             payload["classes"] = None
             payload["classes_error"] = result.listing_error
         else:
-            payload["classes"] = [
-                {"orientation": str(o), "extensions": sorted(str(p) for p in exts)}
-                for o, exts in result.classes
-            ]
+            payload["classes"] = [format_class(*cls) for cls in result.classes]
     return payload
+
+
+def _cmd_path_structure(args, config: RunConfig):
+    return _structure_payload(args, config, path_fs_structure, lambda o, exts: {
+        "orientation": str(o), "extensions": sorted(str(p) for p in exts),
+    })
 
 
 def _cmd_cycle_structure(args, config: RunConfig):
-    y = read_graph(args.y)
-    if args.format == "dot":
-        return _capped_dot(y.complement(), "complement", config)
-    result = cycle_fs_structure(y, include_classes=args.list, config=config)
-    payload: dict = {
-        "component_count": result.component_count,
-        "nu": result.nu,
-        "toric_count": result.toric_count,
-    }
-    if args.list:
-        if result.classes is None:
-            payload["classes"] = None
-            payload["classes_error"] = result.listing_error
-        else:
-            payload["classes"] = [
-                {
-                    "orientations": [str(o) for o in cls],
-                    "extensions": sorted(str(p) for p in exts),
-                }
-                for cls, exts in result.classes
-            ]
-    return payload
+    return _structure_payload(args, config, cycle_fs_structure, lambda cls, exts: {
+        "orientations": [str(o) for o in cls], "extensions": sorted(str(p) for p in exts),
+    })
 
 
 def _cmd_star_structure(args, config: RunConfig):
@@ -280,7 +245,7 @@ def _cmd_tutte_eval(args, config: RunConfig):
 
 
 def _cmd_decide(args, config: RunConfig):
-    return _verdict_json(decide_connectivity(read_graph(args.x), read_graph(args.y), config))
+    return decide_connectivity(read_graph(args.x), read_graph(args.y), config)._asdict()
 
 
 def _cmd_oracle_sweep(args, config: RunConfig):
@@ -300,30 +265,16 @@ def _cmd_oracle_sweep(args, config: RunConfig):
 
     def check(family: str, y: Graph) -> None:
         nonlocal checked
-        n = y.n
-        if family == "path":
-            x = build_named("path", n)
-            expected = path_fs_structure(y).component_count
-        elif family == "cycle":
-            if n < 3:
-                return
-            x = build_named("cycle", n)
-            expected = cycle_fs_structure(y).component_count
-        else:
-            if n < 3:
-                return
-            x = build_named("star", n)
-            structure = star_fs_structure(y)
-            if structure is None:
-                return
-            expected = structure.component_count
-        actual = component_count(FSInstance(x, y), config)
+        expected = family_component_count(family, y)
+        if expected is None:
+            return
+        actual = component_count(FSInstance(build_named(family, y.n), y), config)
         checked += 1
         if actual != expected:
             mismatches.append(
                 {
                     "family": family,
-                    "n": n,
+                    "n": y.n,
                     "y_edges": [list(e) for e in y.edges],
                     "expected": expected,
                     "actual": actual,

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from itertools import filterfalse
 from operator import itemgetter
+from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -53,8 +53,7 @@ class FSInstance:
         return f"FSInstance(x={self.x!r}, y={self.y!r})"
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     component_count: int
     sizes: tuple[int, ...]                 # multiset, ascending
     # Lexicographically least, in order; None only from a sweep whose

@@ -59,10 +59,7 @@ def parse_graph_json(text: str) -> Graph:
 def to_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise InvalidArgumentError(f"graph6 export limited to n <= {GRAPH6_MAX_N}")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g._adj[i] >> j & 1 else 0)
+    bits = [1 if g._adj[i] & j_bit else 0 for i, j_bit, _, _ in _graph6_pairs(g.n)]
     while len(bits) % 6:
         bits.append(0)
     chars = [chr(63 + g.n)]

@@ -100,11 +100,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self._adj)) >> 1
 
-    @property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Internal 0-indexed bitmask adjacency; bit u of entry v means v~u."""
-        return self._adj
-
     def has_edge(self, i: int, j: int) -> bool:
         self._check_vertex(i)
         self._check_vertex(j)
@@ -112,8 +107,7 @@ class Graph:
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         self._check_vertex(i)
-        mask = self._adj[i - 1]
-        return tuple(v + 1 for v in range(self.n) if mask >> v & 1)
+        return _mask_to_vertices(self._adj[i - 1])
 
     def degree(self, i: int) -> int:
         self._check_vertex(i)

@@ -22,7 +22,6 @@ from .config import (
     DEFAULT_CONFIG,
     DEFAULT_EXTENSION_VERTEX_CAP,
     DEFAULT_FIBER_BASE,
-    DEFAULT_FIBER_WORK_BUDGET,
     DEFAULT_LISTING_CAP,
     RunConfig,
 )
@@ -41,21 +40,6 @@ from .iso import (
 from .orientations import Orientation, _gc_paused, _move_classes, _orders_by_orientation
 from .perms import Permutation
 from .tutte import tutte_eval
-
-__all__ = [
-    "ConnectivityVerdict",
-    "PathStructure",
-    "CycleStructure",
-    "StarStructure",
-    "CutPathCertificate",
-    "tutte_eval",
-    "path_fs_structure",
-    "cycle_fs_structure",
-    "star_fs_structure",
-    "cut_path_certificate",
-    "decide_connectivity",
-]
-
 
 # -- path case -----------------------------------------------------------------
 
@@ -196,6 +180,23 @@ def star_fs_structure(y: Graph) -> StarStructure | None:
     return StarStructure(1, (math.factorial(n),))
 
 
+def family_component_count(family: str, y: Graph) -> int | None:
+    """Components of FS(F, Y) for F the path, cycle or star on Y's
+    vertices, by the theorem of that family; None where the theorem says
+    nothing (the cycle and the star on n < 3, a star partner that is not
+    biconnected)."""
+    if family == "path":
+        return path_fs_structure(y).component_count
+    if family not in ("cycle", "star"):
+        raise InvalidArgumentError(f"no component theorem for family {family!r}")
+    if y.n < 3:
+        return None
+    if family == "cycle":
+        return cycle_fs_structure(y).component_count
+    structure = star_fs_structure(y)
+    return None if structure is None else structure.component_count
+
+
 # -- disconnection certificates --------------------------------------------------
 
 
@@ -296,10 +297,11 @@ def cut_path_disconnection(x: Graph, y: Graph) -> dict | None:
     cert = cut_path_certificate(x)
     if cert.d < 1:
         return None
-    min_degree = structure_report(y).min_degree
+    degrees = y.degrees()
+    min_degree = min(degrees)
     if min_degree > cert.d:
         return None
-    y0 = next(v for v in range(1, y.n + 1) if y.degree(v) == min_degree)
+    y0 = degrees.index(min_degree) + 1
     return {"d": cert.d, "path": list(cert.path), "low_degree_vertex": y0}
 
 
@@ -421,8 +423,9 @@ def decide_connectivity(
     path + low degree, cut vertices on both sides), then the fiber
     induction of :func:`_fiber_induction`.  The induction runs only when
     one side has minimum degree at least n - 4: a cost policy, not a
-    soundness condition, as the induction is sound on any pair.  Its
-    brute-force base cases honour ``config.state_cap``.
+    soundness condition, as the induction is sound on any pair.
+    ``config.state_cap`` bounds both the induction's work and each of its
+    brute-force base cases.
 
     The star rule, the disconnection certificates and the reach test of
     the induction read each graph's structure report (components,
@@ -509,10 +512,10 @@ def _fiber_induction(x: Graph, y: Graph, config: RunConfig = DEFAULT_CONFIG) -> 
     on n vertices and n**3 // 16 per refined form on n vertices: up to n
     refinement rounds over up to n**2 / 2 edges, where 8 edge visits take
     about as long as one state searched.  Once the work reaches
-    DEFAULT_FIBER_WORK_BUDGET nothing more is proven; it passes the budget
-    by at most one form, chain call or base case.  The witness names the top peel (side and
-    vertex None when the chain or the brute force settled the pair
-    itself), its number of distinct fibers, and the work spent.
+    ``config.state_cap`` nothing more is proven; it passes the cap by at
+    most one form, chain call or base case.  The witness names the top
+    peel (side and vertex None when the chain or the brute force settled
+    the pair itself), its number of distinct fibers, and the work spent.
     """
     memo: dict = {}
     work = 0
@@ -539,7 +542,7 @@ def _fiber_induction(x: Graph, y: Graph, config: RunConfig = DEFAULT_CONFIG) -> 
     def prove(xa: tuple[int, ...], ya: tuple[int, ...]) -> tuple | None:
         """(side, vertex, fibers) of a proof that FS(xa, ya) is connected."""
         nonlocal work
-        if work >= DEFAULT_FIBER_WORK_BUDGET:
+        if work >= config.state_cap:
             return None
         n = len(xa)
         work += n
@@ -555,7 +558,7 @@ def _fiber_induction(x: Graph, y: Graph, config: RunConfig = DEFAULT_CONFIG) -> 
             cut = structure_report(graph(a)).cut_vertices
             peeled = set()
             for v in range(n):
-                if work >= DEFAULT_FIBER_WORK_BUDGET:
+                if work >= config.state_cap:
                     return None
                 if v + 1 in cut or not a[v]:
                     continue
@@ -563,13 +566,13 @@ def _fiber_induction(x: Graph, y: Graph, config: RunConfig = DEFAULT_CONFIG) -> 
                 if form(sub) in peeled:
                     continue
                 peeled.add(form(sub))
-                # The budget may cut the fibers short; then they prove nothing.
+                # The cap may cut the fibers short; then they prove nothing.
                 fibers = {
                     form(bw): bw
                     for bw in (_drop_vertex(b, w) for w in range(n))
-                    if work < DEFAULT_FIBER_WORK_BUDGET
+                    if work < config.state_cap
                 }
-                if work < DEFAULT_FIBER_WORK_BUDGET and all(
+                if work < config.state_cap and all(
                     settle(sub, bw) for bw in fibers.values()
                 ):
                     return side, v + 1, len(fibers)

@@ -58,6 +58,22 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
             return g
 
 
+def dense_partner_pair(n: int, seed: int) -> tuple[Graph, Graph]:
+    """X: a Hamiltonian cycle plus G(n, 0.2) chords.  Y: the complement of
+    the 3-regular circulant joining i to i +- 1 and i + n/2 (n even), so
+    min degree n - 4 lets the fiber induction of decide run."""
+    rng = random.Random(seed)
+    cycle = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+    chords = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if (i, j) not in cycle and rng.random() < 0.2
+    ]
+    circulant = Graph(n, sorted(cycle | {(i, i + n // 2) for i in range(1, n // 2 + 1)}))
+    return Graph(n, sorted(cycle) + chords), circulant.complement()
+
+
 def has_hamiltonian_path(g: Graph) -> bool:
     """Whether some vertex order walks along edges of g; a brute-force
     filter that keeps the seeded pair streams of the connectivity tests."""

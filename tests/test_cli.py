@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PAW, PETERSEN
-from fsgraph.cli import _COMMANDS, _FAMILY_PARAM_COUNT, _parser, _plain_args, main, read_graph
+from conftest import PAW, PETERSEN, dense_partner_pair
+from fsgraph.cli import _COMMANDS, _parser, _plain_args, main, read_graph
 from fsgraph.graphio import graph_to_json_dict, to_graph6
 from fsgraph import Graph, Orientation, build_named, disjoint_union
 from fsgraph.graphs import NAMED_FAMILIES
@@ -370,11 +370,13 @@ def test_output_is_deterministic(capsys):
 
 
 def test_oracle_sweep_command(capsys):
-    code, out, _ = run_cli(capsys, "oracle-sweep", "--max-n", "4")
+    code, out, _ = run_cli(capsys, "oracle-sweep", "--max-n", "5")
     assert code == 0
     payload = json.loads(out)
     assert payload["mismatches"] == []
-    assert payload["checked"] > 0
+    # 52 partner classes on n <= 5 for the path, 49 on n >= 3 for the
+    # cycle, and the 14 biconnected ones for the star.
+    assert payload["checked"] == 115
 
 
 def test_oracle_sweep_with_random(capsys):
@@ -440,6 +442,19 @@ def _sparse_hamiltonian_graph(rng: random.Random, n: int, p: float) -> Graph:
         if rng.random() < p
     )
     return Graph(n, [tuple(e) for e in edges])
+
+
+def test_decide_fiber_budget_is_the_state_cap(capsys):
+    # The n = 16 dense pair needs 426 750 units of fiber work, past the
+    # default cap of 400 000.
+    x, y = (json.dumps(graph_to_json_dict(g)) for g in dense_partner_pair(16, 16))
+    code, out, _ = run_cli(capsys, "decide", "--x", x, "--y", y)
+    assert code == 0 and json.loads(out)["status"] == "unknown"
+    code, out, _ = run_cli(capsys, "decide", "--x", x, "--y", y, "--state-cap", "1000000")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["status"], payload["theorem"]) == ("connected", "fiber-induction")
+    assert payload["witness"]["work"] > 400_000
 
 
 def test_decide_answers_sparse_large_pairs_in_bounded_time(capsys):
@@ -533,8 +548,31 @@ def test_oracle_sweep_refuses_past_eight_vertices(capsys):
     assert "n <= 8" in err
 
 
-def test_family_parameter_table_covers_exactly_the_named_families():
-    assert set(_FAMILY_PARAM_COUNT) == set(NAMED_FAMILIES)
+def test_family_parameter_table_covers_exactly_the_named_families(capsys):
+    built = {
+        "complete": build_named("complete", 5),
+        "path": build_named("path", 5),
+        "cycle": build_named("cycle", 5),
+        "star": build_named("star", 5),
+        "edgeless": build_named("edgeless", 5),
+        "dynkin_d": build_named("dynkin_d", 5),
+        "lollipop": build_named("lollipop", k=2, m=3),
+        "complete_bipartite": build_named("complete_bipartite", 5, k=2),
+    }
+    assert set(built) | {"theta0"} == set(NAMED_FAMILIES)
+    for name, g in built.items():
+        params = "2,3" if name == "lollipop" else "2,5" if name == "complete_bipartite" else "5"
+        assert read_graph(f"family:{name}:{params}") == g, name
+    assert read_graph("family:theta0") == read_graph("family:theta0:7") == build_named("theta0")
+    bad_specs = (
+        "family:path", "family:path:5,5", "family:lollipop:3", "family:lollipop:1,2,3",
+        "family:complete_bipartite:5", "family:cycle:x", "family:star:5.0",
+        "family:theta0:8", "family:theta0:7,7", "family:nosuch:3", "family:",
+    )
+    for spec in bad_specs:
+        code, out, err = run_cli(capsys, "decide", "--x", spec, "--y", "family:complete:5")
+        assert (code, out) == (2, ""), spec
+        assert err.startswith("error: "), spec
 
 
 def test_acyc_enumerate_counts_before_listing(capsys):

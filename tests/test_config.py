@@ -13,3 +13,5 @@ def test_rejects_nonpositive_caps():
         RunConfig(state_cap=0)
     with pytest.raises(InvalidArgumentError):
         RunConfig(listing_cap=-1)
+    with pytest.raises(InvalidArgumentError):
+        RunConfig()._replace(state_cap=0)

@@ -9,6 +9,7 @@ from claims import class_extensions, reference_cut_path
 from conftest import (
     SPIDER_COMPLEMENT_5,
     SPIDER_TREE_5,
+    dense_partner_pair,
     has_hamiltonian_path,
     random_connected_graph,
     random_graph,
@@ -18,6 +19,7 @@ from fsgraph import (
     Graph,
     InvalidArgumentError,
     Permutation,
+    RunConfig,
     build_named,
     components,
     cut_path_certificate,
@@ -31,7 +33,7 @@ from fsgraph import (
 )
 from fsgraph.iso import enumerate_nonisomorphic
 from fsgraph.orientations import enumerate_acyclic, linear_extensions, partition_by_moves
-from fsgraph import graphs, theorems
+from fsgraph import graphs
 from fsgraph.theorems import _fiber_induction
 
 # A 5-vertex graph with a Hamiltonian path for which FS(X, Y) is connected
@@ -551,40 +553,26 @@ def test_fiber_induction_connected_agrees_with_brute_force():
     assert 0 < proven <= connected
 
 
-def test_hereditary_gives_up_when_its_node_budget_runs_out(monkeypatch):
+def test_hereditary_gives_up_when_its_node_budget_runs_out():
     x = Graph(7, list(HEREDITARY_BASE_5.edges) + [(5, 6), (6, 7)])
     y = build_named("path", 7).complement()
     witness = _fiber_induction(x, y)
     assert witness is not None and witness["side"] is not None
-    monkeypatch.setattr(theorems, "DEFAULT_FIBER_WORK_BUDGET", 100)
-    assert _fiber_induction(x, y) is None
-    assert decide_connectivity(x, y).status == "unknown"
-
-
-def _dense_partner_pair(n: int, seed: int) -> tuple[Graph, Graph]:
-    """X: a Hamiltonian cycle plus G(n, 0.2) chords.  Y: the complement of
-    the 3-regular circulant joining i to i +- 1 and i + n/2 (n even), so
-    min degree n - 4 lets the fiber induction run."""
-    rng = random.Random(seed)
-    cycle = {(i, i + 1) for i in range(1, n)} | {(1, n)}
-    chords = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if (i, j) not in cycle and rng.random() < 0.2
-    ]
-    circulant = Graph(n, sorted(cycle | {(i, i + n // 2) for i in range(1, n // 2 + 1)}))
-    return Graph(n, sorted(cycle) + chords), circulant.complement()
+    # The state cap is the induction's work budget; 720 still lets a
+    # 6-vertex base case search, so the induction gives up rather than refuses.
+    tight = RunConfig(state_cap=720)
+    assert _fiber_induction(x, y, tight) is None
+    assert decide_connectivity(x, y, tight).status == "unknown"
 
 
 def test_decide_answers_dense_partners_within_the_node_budget():
     # Past the oracle's state cap; at n = 30-50 the work budget must stop
     # the induction quickly.
     for n in (10, 12, 14):
-        verdict = decide_connectivity(*_dense_partner_pair(n, n))
+        verdict = decide_connectivity(*dense_partner_pair(n, n))
         assert (verdict.status, verdict.theorem) == ("connected", "fiber-induction"), n
     for n in (30, 40, 50):
-        x, y = _dense_partner_pair(n, n)
+        x, y = dense_partner_pair(n, n)
         assert min(y.degrees()) == n - 4
         start = time.perf_counter()
         verdict = decide_connectivity(x, y)
