@@ -77,6 +77,8 @@ def _family_graph(spec: str) -> Graph:
     """The graph of a family spec; build_named checks the name and the
     parameters."""
     parts = spec.split(":")
+    if len(parts) > 3:
+        raise InvalidArgumentError(f"too many fields in family spec {spec!r}")
     raw_params = parts[2].split(",") if len(parts) > 2 and parts[2] else []
     try:
         params = [int(p) for p in raw_params]

@@ -12,17 +12,24 @@ Components are discovered by breadth-first search with a single visited
 hash set for the whole sweep; nothing materializes the edge set.  A
 sweep runs one BFS per symmetry orbit of components: the images of a
 component under the generators of Aut(X) x Aut(Y) are marked seen by
-mapping its states.  Seeding the searches in lexicographic order makes
-a BFS start at its component's least permutation, an image takes the
-least of its mapped states, and reports list the representatives
-sorted, so every report is deterministic.
+mapping its states, one C-level ``map`` per image.  Seeding the searches
+in lexicographic order makes a BFS start at its component's least
+permutation, an image takes the least of its mapped states, and reports
+list the representatives sorted, so every report is deterministic.
+
+The start words come from ``perms.lex_words``, which keeps the n! words
+with their hashes for n <= 8 (about 2.4 MB at n = 8).  Testing a kept
+word against the visited set hashes nothing, but the table is built on a
+process's first sweep at that n, so it pays only in a process that sweeps
+more than once at the same n <= 8.  At n = 9 the words are derived from
+the kept n = 8 table on every sweep, a little faster than building them
+from tuples, but each is a fresh word that its first lookup hashes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -30,7 +37,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import Graph
 from .iso import _automorphism_generators
-from .perms import Permutation
+from .perms import Permutation, lex_words
 
 
 class FSInstance:
@@ -185,8 +192,7 @@ def iter_component_states(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG):
     cap = config.state_cap
     maps = None
     # The unseen words, tested in C as the loop asks for each next start.
-    words = map(bytes, itertools.permutations(range(1, inst.n + 1)))
-    for start in filterfalse(seen.__contains__, words):
+    for start in filterfalse(seen.__contains__, lex_words(inst.n)):
         comp = _bfs_from(inst, start, seen, cap)
         yield start, len(comp)
         if len(seen) == total:
@@ -206,11 +212,11 @@ def iter_component_states(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG):
                 if getter is None:
                     if states[0].translate(table) in seen:
                         continue
-                    image = [s.translate(table) for s in states]
+                    image = list(map(bytes.translate, states, repeat(table)))
                 else:
                     if bytes(getter(states[0])) in seen:
                         continue
-                    image = [bytes(w) for w in map(getter, states)]
+                    image = list(map(bytes, map(getter, states)))
                 seen.update(image)
                 yield min(image), len(image)
                 if len(seen) == total:
@@ -265,7 +271,7 @@ def fs_to_dot(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> str:
     if inst.n > FS_DOT_MAX_N:
         raise ResourceLimitError(f"DOT export limited to n <= {FS_DOT_MAX_N}")
     _check_statespace(inst.n, config)
-    states = list(map(bytes, itertools.permutations(range(1, inst.n + 1))))
+    states = lex_words(inst.n)
     lines = ["graph FS {"]
     lines.extend(f'  "{Permutation._from_word(state)}";' for state in states)
     for state in states:

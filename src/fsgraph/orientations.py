@@ -20,7 +20,7 @@ import sys
 from .config import DEFAULT_CLOSURE_CAP, DEFAULT_EXTENSION_VERTEX_CAP
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
 from .graphs import Graph, _component_masks, _mask_to_vertices, structure_report
-from .perms import Permutation
+from .perms import _ORDER_TABLE_MAX_N, Permutation, lex_words
 from .tutte import tutte_eval
 
 # Each partition kind as an (a, b, local) flip; ab_flip takes a and b from the caller.
@@ -288,12 +288,13 @@ def _check_forest_rank(graph: Graph) -> None:
     components already exceeds DEFAULT_CLOSURE_CAP: a spanning forest has
     n - c edges, and each of its 2^(n - c) orientations extends to an
     acyclic one (orient the other edges along a topological order of the
-    forest's).  The bound is exact on forests."""
+    forest's).  The bound is exact on forests.  The message writes it as
+    2^rank, since its decimal digits can pass Python's int-to-str limit."""
     rank = graph.n - len(structure_report(graph).components)
     if 1 << rank > DEFAULT_CLOSURE_CAP:
         least = "" if rank == graph.edge_count else "at least "
         raise ResourceLimitError(
-            f"{least}{1 << rank} acyclic orientations exceed the cap of {DEFAULT_CLOSURE_CAP} closure steps"
+            f"{least}2^{rank} acyclic orientations exceed the cap of {DEFAULT_CLOSURE_CAP} closure steps"
         )
 
 
@@ -339,19 +340,19 @@ def enumerate_acyclic(graph: Graph) -> tuple[Orientation, ...]:
 
 
 # The n! vertex orders of [n] as Permutations in lexicographic order, kept
-# per n up to _ORDER_TABLE_MAX_N (8! orders, about 4 MB for all n <= 8).
-# Permutations are immutable, so every listing may share them.
-_ORDER_TABLE_MAX_N = 8
+# per n up to perms' _ORDER_TABLE_MAX_N (8! orders, about 4 MB for all
+# n <= 8).  Permutations are immutable, so every listing may share them.
 _ORDER_TABLES: dict[int, tuple[Permutation, ...]] = {}
 
 
 def _vertex_orders(n: int):
     """An iterator over the n! vertex orders of [n] in lexicographic order:
-    over the memoised table for n <= _ORDER_TABLE_MAX_N, else built lazily."""
+    over the memoised table for n <= _ORDER_TABLE_MAX_N, else built lazily
+    from `lex_words`."""
     table = _ORDER_TABLES.get(n)
     if table is not None:
         return iter(table)
-    orders = map(Permutation._from_word, map(bytes, itertools.permutations(range(1, n + 1))))
+    orders = map(Permutation._from_word, lex_words(n))
     if n > _ORDER_TABLE_MAX_N:
         return orders
     table = _ORDER_TABLES[n] = tuple(orders)

@@ -4,11 +4,17 @@ A permutation is a ``bytes`` subclass holding its one-line word (values
 1..n), which makes instances compact, hashable in C, and ordered exactly
 by the lexicographic order on one-line words.  That order is the canonical
 order used for component representatives everywhere downstream.
+
+This module also owns the n! one-line words themselves, as plain
+``bytes`` in lexicographic order (``lex_words``).
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from collections.abc import Iterable
+from functools import partial
 
 from .errors import InvalidArgumentError
 
@@ -43,11 +49,6 @@ class Permutation(bytes):
             ) from exc
         if sorted(word) != list(range(1, n + 1)):
             raise InvalidArgumentError(f"not a bijection of [{n}]: {values}")
-        return bytes.__new__(cls, word)
-
-    @classmethod
-    def _from_word(cls, word: bytes) -> "Permutation":
-        # Trusted fast path: callers guarantee `word` is a valid one-line word.
         return bytes.__new__(cls, word)
 
     @classmethod
@@ -147,3 +148,48 @@ class Permutation(bytes):
     def cyclic_shift(self) -> "Permutation":
         """Precompose with i -> i+1 (mod n): the word rotates left by one."""
         return Permutation._from_word(self[1:] + self[:1])
+
+
+# Trusted fast path: callers guarantee `word` is a valid one-line word.  It
+# is bytes.__new__ itself, so building a Permutation runs no Python frame.
+Permutation._from_word = staticmethod(partial(bytes.__new__, Permutation))
+
+
+# The word tables, and orientations' Permutation tables, are kept for n up
+# to this bound: 8! words of 8 bytes take about 2.4 MB.
+_ORDER_TABLE_MAX_N = 8
+_WORD_TABLES: dict[int, tuple[bytes, ...]] = {}
+
+
+def lex_words(n: int) -> Iterable[bytes]:
+    """The n! one-line words of [n] as plain ``bytes``, in lexicographic
+    order.
+
+    For n <= _ORDER_TABLE_MAX_N every call returns the same tuple: the
+    words are built once per process, with their hashes, so a set lookup
+    of a word hashes nothing.  Keeping them pays only in a process that
+    lists the words at the same n more than once.  For
+    n = _ORDER_TABLE_MAX_N + 1 the result is an iterator that derives the
+    words, one block per first letter, from the kept table of n - 1
+    translated onto the other n - 1 letters, and nothing more is kept;
+    past that, an iterator over itertools.permutations.
+    """
+    table = _WORD_TABLES.get(n)
+    if table is not None:
+        return table
+    if n <= _ORDER_TABLE_MAX_N:
+        table = _WORD_TABLES[n] = tuple(map(bytes, itertools.permutations(range(1, n + 1))))
+        deque(map(hash, table), 0)   # a bytes caches its hash on first use
+        return table
+    if n == _ORDER_TABLE_MAX_N + 1:
+        return itertools.chain.from_iterable(map(partial(_block, lex_words(n - 1)), range(1, n + 1)))
+    return map(bytes, itertools.permutations(range(1, n + 1)))
+
+
+def _block(words: tuple[bytes, ...], first: int) -> Iterable[bytes]:
+    """The words of [n] starting with `first`, in lexicographic order, from
+    the words of [n - 1]: letters from `first` up move up by one.  The map
+    keeps lexicographic order."""
+    n = len(words[0]) + 1
+    shift = bytes(range(first)) + bytes(range(first + 1, n + 1)) + bytes(range(n, 256))
+    return map(bytes((first,)).__add__, map(bytes.translate, words, itertools.repeat(shift)))

@@ -19,26 +19,27 @@ not tracked, and the memo key is ``low`` alone.  For y != 0 it is
 ``(low, rows)``.
 
 T is multiplicative over components, so ``tutte_eval`` splits the graph
-once and relabels each piece 0..k-1.  From there the recursion stays
-connected: it deletes a class only when it is not a bridge, and
-contraction never disconnects.  Each step takes the last vertex u and its
-highest neighbour v.  Every other neighbour of u lies below v, so the
-contraction drops u's entries and changes only v's, and the labels stay
-0..k-1 without renumbering; equal memo keys are identical multigraphs.
-Working down from the last vertex eliminates one vertex at a time, which
-shares far more subproblems than merging the highest neighbour into the
-lowest vertex: on a G(14, 1/2) with 34 edges the memo held 3 607 graphs
-at (2, 0), against 39 326.  P is not a bridge when u and v have a common
-neighbour, and is one when v is u's only neighbour; otherwise a mask
-search from u without P decides.  No isomorphism search is done: a
-canonical relabeling costs up to n! per node on symmetric graphs.
+once and relabels each piece 0..k-1.  A tree on k vertices needs no
+recursion: all its k - 1 edges are bridges, so T = x^(k-1).  On any other
+piece the recursion stays connected: it deletes a class only when it is
+not a bridge, and contraction never disconnects.  Each step takes the
+last vertex u and its highest neighbour v.  Every other neighbour of u
+lies below v, so the contraction drops u's entries and changes only v's,
+and the labels stay 0..k-1 without renumbering; equal memo keys are
+identical multigraphs.  Working down from the last vertex eliminates one
+vertex at a time, which shares far more subproblems than merging the
+highest neighbour into the lowest vertex: on a G(14, 1/2) with 34 edges
+the memo held 3 607 graphs at (2, 0), against 39 326.  P is not a bridge
+when u and v have a common neighbour, and is one when v is u's only
+neighbour; otherwise a mask search from u without P decides.  No
+isomorphism search is done: a canonical relabeling costs up to n! per
+node on symmetric graphs.
 
 The memo holds one entry per distinct multigraph the recursion reaches.
 A call that would store more than DEFAULT_TUTTE_NODE_CAP of them raises
 ResourceLimitError, and so does one that recurses deeper than the
-interpreter allows (a component of about 1000 vertices on a cycle or a
-path), so every evaluation answers or refuses in bounded time and
-memory.
+interpreter allows (a cycle of about 1000 vertices), so every
+evaluation answers or refuses in bounded time and memory.
 """
 
 from __future__ import annotations
@@ -59,14 +60,19 @@ def tutte_eval(g: Graph, x: int, y: int) -> int:
         for a, b in g._edges:
             if mask >> a & 1:
                 low[(mask & (1 << b) - 1).bit_count()] |= 1 << (mask & (1 << a) - 1).bit_count()
-        try:
-            result *= rec.eval(tuple(low), None if y == 0 else (0,) * len(low))
-        except RecursionError:
-            # Each level removes a class or a vertex, so a long cycle or path
-            # runs deeper than the interpreter allows.
-            raise ResourceLimitError(
-                f"Tutte evaluation on {len(low)} vertices exceeds the recursion depth limit"
-            ) from None
+        edges = sum(map(int.bit_count, low))
+        if edges == len(low) - 1:
+            # A tree: every edge is a bridge, so T = x^edges.
+            result *= x**edges
+        else:
+            try:
+                result *= rec.eval(tuple(low), None if y == 0 else (0,) * len(low))
+            except RecursionError:
+                # Each level removes a class or a vertex, so a long cycle
+                # runs deeper than the interpreter allows.
+                raise ResourceLimitError(
+                    f"Tutte evaluation on {len(low)} vertices exceeds the recursion depth limit"
+                ) from None
         if result == 0:
             break
     return result

@@ -231,7 +231,24 @@ def test_acyc_partition_refuses_too_many_orientations(capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "acyc", argv[0], "--g", matching, *argv[1:])
         assert time.perf_counter() - start < 1
-        assert (code, out) == (3, "") and "262144 acyclic orientations" in err
+        assert (code, out) == (3, "") and "2^18 acyclic orientations" in err
+
+
+def test_acyc_partition_and_phi_refuse_long_paths(capsys):
+    # 2^14999 orientations: the message writes the bound, not its digits.
+    for argv in (("partition", "--kind", "toric"), ("phi",)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "acyc", argv[0], "--g", "family:path:15000", *argv[1:])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "") and "2^14999 acyclic orientations" in err
+
+
+def test_tutte_eval_answers_on_long_trees(capsys):
+    for spec, edges in (("family:path:1500", 1499), ("family:star:3000", 2999)):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "tutte", "eval", "--g", spec, "--x", "2", "--y", "0")
+        assert time.perf_counter() - start < 1
+        assert (code, json.loads(out)) == (0, 2**edges), spec
 
 
 def test_acyc_partition_refuses_orientations_times_selections(capsys):
@@ -573,6 +590,13 @@ def test_family_parameter_table_covers_exactly_the_named_families(capsys):
         code, out, err = run_cli(capsys, "decide", "--x", spec, "--y", "family:complete:5")
         assert (code, out) == (2, ""), spec
         assert err.startswith("error: "), spec
+
+
+def test_family_spec_refuses_trailing_fields(capsys):
+    for spec in ("family:path:3:9", "family:path:3:", "family:theta0:7:7", "family:complete:3::"):
+        code, out, err = run_cli(capsys, "decide", "--x", spec, "--y", "family:complete:3")
+        assert (code, out) == (2, ""), spec
+        assert err.startswith("error: too many fields in family spec"), spec
 
 
 def test_acyc_enumerate_counts_before_listing(capsys):

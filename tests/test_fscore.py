@@ -3,7 +3,6 @@ import math
 import random
 import time
 from collections import deque
-from types import SimpleNamespace
 
 import pytest
 
@@ -34,6 +33,7 @@ from fsgraph import cli, fscore, iso
 from fsgraph.fscore import _component_sweep, fs_to_dot
 from fsgraph.theorems import cut_vertex_disconnection
 from fsgraph.iso import enumerate_nonisomorphic
+from fsgraph.perms import lex_words
 
 
 # -- adjacency -------------------------------------------------------------------
@@ -399,20 +399,20 @@ def test_component_search_cap_is_exact():
 
 
 def test_sweep_stops_once_every_state_is_seen(monkeypatch):
-    # The sweep draws start words from itertools.permutations; count them.
+    # The sweep draws start words from perms.lex_words; count them.
     drawn = []
 
-    def counted(*args):
-        for word in itertools.permutations(*args):
+    def counted(n):
+        for word in lex_words(n):
             drawn.append(word)
             yield word
 
-    monkeypatch.setattr(fscore, "itertools", SimpleNamespace(permutations=counted))
+    monkeypatch.setattr(fscore, "lex_words", counted)
     connected = FSInstance(build_named("path", 6), build_named("complete", 6))
     report = components(connected)
     assert (report.component_count, report.explored_vertices) == (1, 720)
     assert report.representatives == (Permutation.identity(6),)
-    assert drawn == [tuple(range(1, 7))]   # no start past its one component
+    assert drawn == [bytes(range(1, 7))]   # no start past its one component
     # A split instance stops right after the search whose orbit fills the
     # visited set: the last word drawn opened the last BFS, before the least
     # word of the last component, where the plain sweep would stop.
@@ -427,9 +427,9 @@ def test_sweep_stops_once_every_state_is_seen(monkeypatch):
     monkeypatch.setattr(fscore, "_bfs_from", counted_bfs)
     report = components(FSInstance(build_named("path", 4), build_named("path", 4)))
     assert report.component_count == 8 and report.explored_vertices == 24
-    assert starts[-1] == bytes(drawn[-1])
-    last = tuple(report.representatives[-1])
-    plain_draws = list(itertools.permutations(range(1, 5))).index(last) + 1
+    assert starts[-1] == drawn[-1]
+    last = report.representatives[-1].word
+    plain_draws = lex_words(4).index(last) + 1
     assert len(drawn) < plain_draws
 
 

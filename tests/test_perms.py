@@ -1,11 +1,13 @@
 import copy
+import itertools
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsgraph import InvalidArgumentError, Permutation
+from fsgraph import InvalidArgumentError, Permutation, perms
+from fsgraph.perms import lex_words
 
 
 def perm_strategy(max_n=10):
@@ -170,3 +172,26 @@ def test_shift_composes_with_rotation(p):
     n = p.n
     rotation = Permutation([i % n + 1 for i in range(1, n + 1)])
     assert p.cyclic_shift() == p.compose(rotation)
+
+
+def test_word_table_lists_the_lexicographic_words():
+    for n in range(1, 10):
+        words = list(lex_words(n))
+        assert words == list(map(bytes, itertools.permutations(range(1, n + 1)))), n
+        assert all(type(w) is bytes for w in words), n
+
+
+def test_word_table_is_kept_up_to_eight_letters_only():
+    for n in range(1, 9):
+        first = lex_words(n)
+        assert lex_words(n) is first and perms._WORD_TABLES[n] is first
+    nine = lex_words(9)
+    assert not isinstance(nine, tuple)
+    assert next(nine) == bytes(range(1, 10))
+    assert max(perms._WORD_TABLES) == perms._ORDER_TABLE_MAX_N == 8
+
+
+def test_trusted_constructor_builds_a_permutation():
+    p = Permutation._from_word(b"\x02\x01\x03")
+    assert type(p) is Permutation and p == Permutation([2, 1, 3])
+    assert Permutation.identity(4) == Permutation([1, 2, 3, 4])

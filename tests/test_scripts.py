@@ -1,9 +1,10 @@
 """The scripts under scripts/ refuse oversized runs the way the CLI does:
 one line on stderr and exit status 3, no traceback; the CLI digest does
 not depend on the hash seed, the decide digest prints its pin, and the
-decide layer timer prints one JSON object."""
+decide layer timer and the sweep counter print one JSON object."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -82,3 +83,17 @@ def test_decide_layers_times_each_layer_of_the_corpus():
     layers = report["us_per_pair"]
     assert set(layers) == {"graph6_decode", "structure_report", "decide_chain", "cli_main"}
     assert all(type(us) is float and us > 0 for us in layers.values())
+
+
+def test_sweep_layers_counts_the_oracle_sweep_per_n():
+    done = run_script("sweep_layers.py", "--seed", "3")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["workload"], report["seed"], report["ops"]) == ("oracle", 3, 107)
+    rows = report["by_n"]
+    assert sorted(rows) == ["7", "8", "9"]
+    assert sum(row["ops"] for row in rows.values()) == 107
+    for n, row in rows.items():
+        # Every state is either expanded by a search or marked as an image.
+        assert row["bfs_states"] + row["image_states"] == row["ops"] * math.factorial(int(n)), n
+        assert row["start_words"] >= row["ops"] and row["components"] >= row["ops"], n

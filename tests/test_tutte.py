@@ -16,7 +16,7 @@ from fsgraph import (
     tutte_eval,
 )
 from fsgraph import tutte
-from fsgraph.iso import enumerate_nonisomorphic
+from fsgraph.iso import canonical_form, enumerate_nonisomorphic
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:
@@ -256,6 +256,51 @@ def test_node_cap_counts_memoised_multigraphs(monkeypatch):
 
 
 def test_recursion_deeper_than_the_interpreter_allows_is_refused():
-    assert tutte_eval(build_named("path", 500), 2, 0) == 2**499
+    # A tree takes no recursion, so a long cycle is the deep case.
+    assert tutte_eval(build_named("cycle", 500), 2, 0) == 2**500 - 2
     with pytest.raises(ResourceLimitError, match="recursion depth"):
-        tutte_eval(build_named("path", 1200), 2, 0)
+        tutte_eval(build_named("cycle", 1200), 2, 0)
+
+
+def _forest_classes(max_n: int) -> list[Graph]:
+    """Every forest on n <= max_n vertices up to isomorphism: each arises
+    from one on n - 1 vertices by adding a leaf or an isolated vertex."""
+    level = [Graph(1)]
+    out = list(level)
+    for n in range(2, max_n + 1):
+        grown = {}
+        for g in level:
+            for extra in [[]] + [[(v, n)] for v in range(1, n)]:
+                h = Graph(n, list(g.edges) + extra)
+                grown.setdefault(canonical_form(h), h)
+        level = list(grown.values())
+        out.extend(level)
+    return out
+
+
+def _recursion_value(g: Graph, x: int, y: int) -> int:
+    """T_G(x, y) from `_Recursion.eval` on every component, trees included."""
+    value = 1
+    for comp in structure_report(g).components:
+        label = {v: i for i, v in enumerate(comp)}
+        low = [0] * len(comp)
+        for a, b in g.edges:
+            if a in label:
+                low[label[b]] |= 1 << label[a]
+        rec = tutte._Recursion(x, y, g.edge_count)
+        value *= rec.eval(tuple(low), None if y == 0 else (0,) * len(low))
+    return value
+
+
+def test_forests_skip_the_recursion_and_match_it(monkeypatch):
+    forests = _forest_classes(8)
+    assert len(forests) == 155   # 1, 2, 3, 6, 10, 20, 37, 76 forests on n = 1..8
+    expected = [[_recursion_value(g, x, y) for x, y in REFERENCE_POINTS] for g in forests]
+
+    def refuse(*args):
+        raise AssertionError("the recursion ran on a forest")
+
+    monkeypatch.setattr(tutte._Recursion, "eval", refuse)
+    for g, values in zip(forests, expected):
+        got = [tutte_eval(g, x, y) for x, y in REFERENCE_POINTS]
+        assert got == values == [x**g.edge_count for x, _ in REFERENCE_POINTS], g.edges
