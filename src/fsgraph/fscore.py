@@ -18,12 +18,11 @@ permutation, an image takes the least of its mapped states, and reports
 list the representatives sorted, so every report is deterministic.
 
 The start words come from ``perms.lex_words``, which keeps the n! words
-with their hashes for n <= 8 (about 2.4 MB at n = 8).  Testing a kept
-word against the visited set hashes nothing, but the table is built on a
-process's first sweep at that n, so it pays only in a process that sweeps
-more than once at the same n <= 8.  At n = 9 the words are derived from
-the kept n = 8 table on every sweep, a little faster than building them
-from tuples, but each is a fresh word that its first lookup hashes.
+for n <= 8 (about 2.4 MB at n = 8).  A kept word caches its hash on its
+first lookup, so later sweeps test it against the visited set without
+hashing; the table is built on a process's first sweep at that n, so it
+pays only in a process that sweeps more than once at the same n <= 8.
+At n = 9 and above the words are built afresh on every sweep.
 """
 
 from __future__ import annotations
@@ -271,7 +270,7 @@ def fs_to_dot(inst: FSInstance, config: RunConfig = DEFAULT_CONFIG) -> str:
     if inst.n > FS_DOT_MAX_N:
         raise ResourceLimitError(f"DOT export limited to n <= {FS_DOT_MAX_N}")
     _check_statespace(inst.n, config)
-    states = lex_words(inst.n)
+    states = tuple(lex_words(inst.n))
     lines = ["graph FS {"]
     lines.extend(f'  "{Permutation._from_word(state)}";' for state in states)
     for state in states:

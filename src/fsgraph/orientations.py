@@ -347,12 +347,13 @@ _ORDER_TABLES: dict[int, tuple[Permutation, ...]] = {}
 
 def _vertex_orders(n: int):
     """An iterator over the n! vertex orders of [n] in lexicographic order:
-    over the memoised table for n <= _ORDER_TABLE_MAX_N, else built lazily
-    from `lex_words`."""
+    over the memoised table for n <= _ORDER_TABLE_MAX_N, else built lazily.
+    The words come from `lex_words` without keeping its bytes table, so a
+    process that only lists orders keeps one copy of the words."""
     table = _ORDER_TABLES.get(n)
     if table is not None:
         return iter(table)
-    orders = map(Permutation._from_word, lex_words(n))
+    orders = map(Permutation._from_word, lex_words(n, keep=False))
     if n > _ORDER_TABLE_MAX_N:
         return orders
     table = _ORDER_TABLES[n] = tuple(orders)

@@ -12,7 +12,6 @@ This module also owns the n! one-line words themselves, as plain
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from collections.abc import Iterable
 from functools import partial
 
@@ -161,35 +160,22 @@ _ORDER_TABLE_MAX_N = 8
 _WORD_TABLES: dict[int, tuple[bytes, ...]] = {}
 
 
-def lex_words(n: int) -> Iterable[bytes]:
+def lex_words(n: int, keep: bool = True) -> Iterable[bytes]:
     """The n! one-line words of [n] as plain ``bytes``, in lexicographic
     order.
 
-    For n <= _ORDER_TABLE_MAX_N every call returns the same tuple: the
-    words are built once per process, with their hashes, so a set lookup
-    of a word hashes nothing.  Keeping them pays only in a process that
-    lists the words at the same n more than once.  For
-    n = _ORDER_TABLE_MAX_N + 1 the result is an iterator that derives the
-    words, one block per first letter, from the kept table of n - 1
-    translated onto the other n - 1 letters, and nothing more is kept;
-    past that, an iterator over itertools.permutations.
+    For n <= _ORDER_TABLE_MAX_N every call returns the same tuple, built
+    once per process; a kept word caches its hash on its first set lookup,
+    so later lookups of it hash nothing.  Keeping them pays only in a
+    process that looks the words up at the same n more than once.  Past
+    the bound, or with ``keep=False`` before the table exists, the result
+    is a one-shot iterator over itertools.permutations and nothing is kept.
     """
     table = _WORD_TABLES.get(n)
     if table is not None:
         return table
-    if n <= _ORDER_TABLE_MAX_N:
-        table = _WORD_TABLES[n] = tuple(map(bytes, itertools.permutations(range(1, n + 1))))
-        deque(map(hash, table), 0)   # a bytes caches its hash on first use
+    words = map(bytes, itertools.permutations(range(1, n + 1)))
+    if keep and n <= _ORDER_TABLE_MAX_N:
+        table = _WORD_TABLES[n] = tuple(words)
         return table
-    if n == _ORDER_TABLE_MAX_N + 1:
-        return itertools.chain.from_iterable(map(partial(_block, lex_words(n - 1)), range(1, n + 1)))
-    return map(bytes, itertools.permutations(range(1, n + 1)))
-
-
-def _block(words: tuple[bytes, ...], first: int) -> Iterable[bytes]:
-    """The words of [n] starting with `first`, in lexicographic order, from
-    the words of [n - 1]: letters from `first` up move up by one.  The map
-    keeps lexicographic order."""
-    n = len(words[0]) + 1
-    shift = bytes(range(first)) + bytes(range(first + 1, n + 1)) + bytes(range(n, 256))
-    return map(bytes((first,)).__add__, map(bytes.translate, words, itertools.repeat(shift)))
+    return words

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsgraph import InvalidArgumentError, Permutation, perms
+from fsgraph import InvalidArgumentError, Permutation, orientations, perms
 from fsgraph.perms import lex_words
 
 
@@ -189,6 +189,19 @@ def test_word_table_is_kept_up_to_eight_letters_only():
     assert not isinstance(nine, tuple)
     assert next(nine) == bytes(range(1, 10))
     assert max(perms._WORD_TABLES) == perms._ORDER_TABLE_MAX_N == 8
+
+
+def test_order_listings_keep_no_word_table(monkeypatch):
+    monkeypatch.setattr(perms, "_WORD_TABLES", {})
+    monkeypatch.setattr(orientations, "_ORDER_TABLES", {})
+    words = lex_words(6, keep=False)
+    assert not isinstance(words, tuple) and perms._WORD_TABLES == {}
+    assert list(orientations._vertex_orders(6)) == list(map(Permutation._from_word, lex_words(6)))
+    assert list(perms._WORD_TABLES) == [6]
+    # Once the table exists, keep=False returns it too.
+    assert lex_words(6, keep=False) is perms._WORD_TABLES[6]
+    orientations._vertex_orders(7)
+    assert list(perms._WORD_TABLES) == [6]
 
 
 def test_trusted_constructor_builds_a_permutation():
