@@ -21,7 +21,7 @@ import random
 import sys
 from collections import Counter
 
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, DEFAULT_VERTEX_CAP, RunConfig
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
 from .fscore import (
     ComponentReport,
@@ -74,7 +74,8 @@ def read_graph(spec: str) -> Graph:
 
 
 def _family_graph(spec: str) -> Graph:
-    """The graph of a family spec; build_named checks the name and the
+    """The graph of a family spec, refused before it is built past
+    DEFAULT_VERTEX_CAP vertices; build_named checks the name and the
     parameters."""
     parts = spec.split(":")
     if len(parts) > 3:
@@ -87,7 +88,13 @@ def _family_graph(spec: str) -> Graph:
     keywords = _FAMILY_KEYWORDS.get(parts[1], ("n",))
     if len(params) > len(keywords):
         raise InvalidArgumentError(f"too many family parameters in {spec!r}")
-    return build_named(parts[1], **dict(zip(keywords, params)))
+    kwargs = dict(zip(keywords, params))
+    vertices = kwargs.get("n", kwargs.get("k", 0) + kwargs.get("m", 0))   # a lollipop has k + m
+    if vertices > DEFAULT_VERTEX_CAP:
+        raise ResourceLimitError(
+            f"family spec {spec!r} has {vertices} vertices, past the cap of {DEFAULT_VERTEX_CAP}"
+        )
+    return build_named(parts[1], **kwargs)
 
 
 def _render(payload) -> str:

@@ -20,6 +20,7 @@ DEFAULT_CLOSURE_CAP = 100_000    # max acyclic orientations x (1 + flip selectio
 DEFAULT_TUTTE_NODE_CAP = 100_000   # max memoised multigraphs in one Tutte evaluation
 DEFAULT_EXTENSION_VERTEX_CAP = 10   # max n for linear-extension listings
 DEFAULT_FIBER_BASE = 6           # max n the fiber induction of decide settles by brute force
+DEFAULT_VERTEX_CAP = 20_000      # max vertices of a family: spec or a JSON graph, checked before any mask is built
 
 
 class _Caps(NamedTuple):

@@ -12,7 +12,8 @@ import functools
 import itertools
 import json
 
-from .errors import InvalidArgumentError
+from .config import DEFAULT_VERTEX_CAP
+from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import Graph
 
 GRAPH6_MAX_N = 62
@@ -33,6 +34,8 @@ def graph_from_json_dict(data: object) -> Graph:
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise InvalidArgumentError(f'"n" must be an integer, got {n!r}')
+    if n > DEFAULT_VERTEX_CAP:
+        raise ResourceLimitError(f"graph has {n} vertices, past the cap of {DEFAULT_VERTEX_CAP}")
     edges = data.get("edges", [])
     if not isinstance(edges, list):
         raise InvalidArgumentError('"edges" must be a list of pairs')

@@ -19,7 +19,7 @@ import sys
 
 from .config import DEFAULT_CLOSURE_CAP, DEFAULT_EXTENSION_VERTEX_CAP
 from .errors import InvalidArgumentError, InvalidMoveError, ResourceLimitError
-from .graphs import Graph, _component_masks, _mask_to_vertices, structure_report
+from .graphs import Graph, _component_masks, _mask_to_vertices, build_named, structure_report
 from .perms import _ORDER_TABLE_MAX_N, Permutation, lex_words
 from .tutte import tutte_eval
 
@@ -362,29 +362,22 @@ def _vertex_orders(n: int):
 
 # memoryview formats of unsigned slots of 1, 2, 4 and 8 bytes.
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# Per n <= _ORDER_TABLE_MAX_N: K_n's packed keys, their slot width, a 1 in every slot.
+_KEY_TABLES: dict[int, tuple[int, int, int]] = {}
 
 
-def _orders_by_orientation(graph: Graph) -> dict[int, list[Permutation]]:
-    """All n! vertex orders, grouped by the direction bits of the acyclic
-    orientation each one induces (edges point from the earlier vertex).
-
-    The keys are exactly the acyclic orientations, and each group is the
-    set of linear extensions of its key, listed in lexicographic order.
-    The keys of all n! orders are computed together, one fixed-width slot
-    each in a big integer, slot i for the i-th order.  In lexicographic
-    order the orders of a vertex set S are, for each v of S in increasing
-    order, v followed by the orders of S - v.  Putting v first sets exactly
-    the bits of the edges (u, v) with u < v and u in S, so ``packed[S]``
-    concatenates, over those v, ``packed[S - v]`` with that constant ORed
-    into every slot; it is built for all S by increasing size, two sizes
-    kept at a time.  The Permutations come from `_vertex_orders`, so for
-    n <= 8 they are built once per process and shared by every listing at
-    that n.
-    """
+def _packed_keys(graph: Graph) -> tuple[int, int]:
+    """The direction bits each vertex order induces on `graph`, one slot
+    per order (slot i for the i-th in lexicographic order) in a big
+    integer; and the slot width in bytes.  The orders of a vertex set S
+    are, for each v of S in increasing order, v followed by the orders of
+    S - v.  Putting v first sets exactly the bits of the edges (u, v) with
+    u < v and u in S, so ``packed[S]`` concatenates, over those v,
+    ``packed[S - v]`` with that constant ORed into every slot; it is built
+    for all S by increasing size, two sizes kept at a time."""
     n = graph.n
     _, low, high = _incidence(graph)
-    # Slots of 1 to 8 bytes: listings stop at 10 vertices, so at 45 edges.
-    width = next(w for w in _SLOT_FORMATS if graph.edge_count <= 8 * w)
+    width = next(w for w in _SLOT_FORMATS if graph.edge_count <= 8 * w)   # n <= 10, so <= 45 edges
     slot = 8 * width
     lows = [0] * (1 << n)   # lows[S]: the edges whose low endpoint lies in S
     by_size: list[list[int]] = [[] for _ in range(n + 1)]
@@ -403,9 +396,46 @@ def _orders_by_orientation(graph: Graph) -> dict[int, list[Permutation]]:
             packed[s] = keys
         for s in by_size[size - 1]:
             packed[s] = None
-    slots = memoryview(packed[-1].to_bytes(math.factorial(n) * width, sys.byteorder))
+    return packed[-1], width
+
+
+def _order_keys(graph: Graph) -> memoryview:
+    """The keys of `_orders_by_orientation`, one per vertex order."""
+    n = graph.n
+    if n > _ORDER_TABLE_MAX_N:
+        keys, width = _packed_keys(graph)
+    else:
+        if n not in _KEY_TABLES:
+            table, width = _packed_keys(build_named("complete", n))
+            ones = int.from_bytes((1).to_bytes(width, "little") * math.factorial(n), "little")
+            _KEY_TABLES[n] = (table, width, ones)
+        table, width, ones = _KEY_TABLES[n]
+        runs: dict[int, int] = {}   # gap p(t) - t -> the edges t with that gap
+        for t, (a, b) in enumerate(graph._edges):
+            gap = a * (2 * n - a - 3) // 2 + b - 1 - t   # p(t): K_n's index of pair (a, b)
+            runs[gap] = runs.get(gap, 0) | 1 << t
+        keys = 0
+        for gap, mask in runs.items():
+            keys |= table >> gap & mask * ones
+    return memoryview(keys.to_bytes(math.factorial(n) * width, sys.byteorder)).cast(_SLOT_FORMATS[width])
+
+
+def _orders_by_orientation(graph: Graph) -> dict[int, list[Permutation]]:
+    """All n! vertex orders, grouped by the direction bits of the acyclic
+    orientation each one induces (edges point from the earlier vertex).
+
+    The keys are exactly the acyclic orientations, and each group is the
+    set of linear extensions of its key, listed in lexicographic order.
+    Each order's key is one slot of a big integer (`_packed_keys`).  For
+    n <= 8 the keys of K_n are packed once per process and kept (21 KB at
+    n = 7, 172 KB at n = 8, as much again for the 1 in every slot); edge t
+    of the graph is K_n's pair p(t) >= t, so each run of edges with one gap
+    p(t) - t is cut out by one shift of K_n's keys, masked to those edges
+    in every slot.  Past 8 the graph's own edges are packed per call and
+    nothing is kept.  `_vertex_orders` shares the Permutations likewise.
+    """
     groups: dict[int, list[Permutation]] = {}
-    for key, order in zip(slots.cast(_SLOT_FORMATS[width]), _vertex_orders(n)):
+    for key, order in zip(_order_keys(graph), _vertex_orders(graph.n)):
         group = groups.get(key)
         if group is None:
             groups[key] = [order]

@@ -154,8 +154,8 @@ class Permutation(bytes):
 Permutation._from_word = staticmethod(partial(bytes.__new__, Permutation))
 
 
-# The word tables, and orientations' Permutation tables, are kept for n up
-# to this bound: 8! words of 8 bytes take about 2.4 MB.
+# The word tables, and orientations' Permutation and key tables, are kept
+# for n up to this bound: 8! words of 8 bytes take about 2.4 MB.
 _ORDER_TABLE_MAX_N = 8
 _WORD_TABLES: dict[int, tuple[bytes, ...]] = {}
 

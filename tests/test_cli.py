@@ -13,6 +13,7 @@ import pytest
 
 from conftest import PAW, PETERSEN, dense_partner_pair
 from fsgraph.cli import _COMMANDS, _parser, _plain_args, main, read_graph
+from fsgraph.config import DEFAULT_VERTEX_CAP
 from fsgraph.graphio import graph_to_json_dict, to_graph6
 from fsgraph import Graph, Orientation, build_named, disjoint_union
 from fsgraph.graphs import NAMED_FAMILIES
@@ -241,6 +242,20 @@ def test_acyc_partition_and_phi_refuse_long_paths(capsys):
         code, out, err = run_cli(capsys, "acyc", argv[0], "--g", "family:path:15000", *argv[1:])
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, "") and "2^14999 acyclic orientations" in err
+
+
+def test_oversized_graphs_are_refused_before_they_are_built(capsys):
+    # K_100000 would take about 1.25 GB of adjacency masks.
+    big = json.dumps({"n": 100_000, "edges": []})
+    for argv in (
+        ("decide", "--x", "family:complete:100000", "--y", "family:complete:100000"),
+        ("tutte", "eval", "--g", big, "--x", "1", "--y", "1"),
+        ("path", "structure", "--y", "family:lollipop:15000,6000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "") and f"vertices, past the cap of {DEFAULT_VERTEX_CAP}" in err, argv
 
 
 def test_tutte_eval_answers_on_long_trees(capsys):

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
 from conftest import random_graph
-from fsgraph import Graph, InvalidArgumentError, build_named
+from fsgraph import Graph, InvalidArgumentError, ResourceLimitError, build_named
+from fsgraph.config import DEFAULT_VERTEX_CAP
 from fsgraph.graphio import (
     from_graph6,
     graph_from_json_dict,
@@ -33,6 +35,12 @@ def test_json_rejects_malformed():
         graph_from_json_dict({"n": 3, "edges": [[1, 1]]})
     with pytest.raises(InvalidArgumentError):
         graph_from_json_dict({"n": 2, "edges": [], "weights": []})
+
+
+def test_json_refuses_oversized_vertex_counts():
+    assert graph_from_json_dict({"n": DEFAULT_VERTEX_CAP, "edges": [[1, 2]]}).edge_count == 1
+    with pytest.raises(ResourceLimitError, match="past the cap"):
+        parse_graph_json(json.dumps({"n": DEFAULT_VERTEX_CAP + 1, "edges": []}))
 
 
 def test_known_graph6_encodings():

@@ -28,13 +28,16 @@ from fsgraph import (
 from fsgraph.iso import enumerate_nonisomorphic
 from fsgraph.config import DEFAULT_CLOSURE_CAP
 from fsgraph.orientations import (
+    _KEY_TABLES,
     _ORDER_TABLES,
     _flip_masks,
     _flip_selections,
     _gc_paused,
     _incidence,
     _move_classes,
+    _order_keys,
     _orders_by_orientation,
+    _vertex_orders,
 )
 
 
@@ -1001,13 +1004,53 @@ def test_orders_group_by_induced_orientation_with_eight_byte_keys():
             assert orientation_from_permutation(g, p).bits == key
 
 
+# -- the kept key table -----------------------------------------------------------
+
+
+def _induced_bits(g, orders):
+    return [orientation_from_permutation(g, p).bits for p in orders]
+
+
+def test_order_keys_are_the_induced_orientations():
+    # Every order's key, on every class with n <= 6 and on seeded n = 7, 8
+    # graphs, all cut out of the kept K_n keys.
+    graphs = [g for n in range(1, 7) for g in enumerate_nonisomorphic(n)]
+    graphs += _seeded_graphs(55, [(7, 3), (7, 11), (7, 18), (8, 9), (8, 22)])
+    for g in graphs:
+        keys = _order_keys(g)
+        assert len(keys) == math.factorial(g.n)
+        assert list(keys) == _induced_bits(g, _vertex_orders(g.n)), g.edges
+    assert all(n in _KEY_TABLES for n in range(1, 9))
+
+
+def test_order_keys_past_the_kept_bound_pack_the_graph_alone():
+    # A sparse n = 9 graph: its keys are packed per call, and no K_9 table is kept.
+    (g,) = _seeded_graphs(56, [(9, 10)])
+    keys = _order_keys(g)
+    assert len(keys) == math.factorial(9)
+    rng = random.Random(57)
+    ranks = sorted(rng.sample(range(len(keys)), 50))
+    wanted = set(ranks)
+    orders = [Permutation(w) for i, w in enumerate(itertools.permutations(range(1, 10))) if i in wanted]
+    assert [keys[i] for i in ranks] == _induced_bits(g, orders)
+    assert 9 not in _KEY_TABLES
+
+
+def test_listings_at_one_n_share_one_key_table():
+    first = _orders_by_orientation(build_named("cycle", 7))
+    table = _KEY_TABLES[7]
+    again = _orders_by_orientation(build_named("complete", 7))
+    assert _KEY_TABLES[7] is table
+    assert len(first) == 2**7 - 2 and len(again) == math.factorial(7)
+
+
 def test_order_tables_stop_at_eight_factorial():
     _orders_by_orientation(build_named("path", 8))
     assert len(_ORDER_TABLES[8]) == math.factorial(8)
     groups = _orders_by_orientation(build_named("path", 9))
     assert len(groups) == 2**8
     assert sum(map(len, groups.values())) == math.factorial(9)
-    assert max(_ORDER_TABLES) == 8
+    assert max(_ORDER_TABLES) == 8 and max(_KEY_TABLES) == 8
     assert all(len(table) <= math.factorial(8) for table in _ORDER_TABLES.values())
 
 

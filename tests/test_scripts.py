@@ -1,7 +1,8 @@
 """The scripts under scripts/ refuse oversized runs the way the CLI does:
 one line on stderr and exit status 3, no traceback; the CLI digest does
 not depend on the hash seed, the decide digest prints its pin, and the
-decide layer timer and the sweep counter print one JSON object."""
+decide and listing layer timers and the sweep counter print one JSON
+object."""
 
 import json
 import math
@@ -83,6 +84,23 @@ def test_decide_layers_times_each_layer_of_the_corpus():
     layers = report["us_per_pair"]
     assert set(layers) == {"graph6_decode", "structure_report", "decide_chain", "cli_main"}
     assert all(type(us) is float and us > 0 for us in layers.values())
+
+
+def test_listing_layers_times_each_layer_of_the_listings():
+    done = run_script("listing_layers.py", "--seed", "3", "--rounds", "1")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["workload"], report["seed"], report["listings"], report["rounds"]) == (
+        "theorems", 3, 54, 1,
+    )
+    rows = report["by_stratum"]
+    assert {name.split()[0] for name in rows} == {"path_classes", "cycle_classes"}
+    assert sum(row["listings"] for row in rows.values()) == 54
+    for row in rows.values():
+        assert all(type(row[f"{layer}_us"]) is float and row[f"{layer}_us"] > 0 for layer in (
+            "order_keys", "orders_by_orientation", "listing",
+        ))
+        assert row["gen0_collection_us"] >= 0
 
 
 def test_sweep_layers_counts_the_oracle_sweep_per_n():
